@@ -1,185 +1,70 @@
-"""Bitmask evaluation of ladder monomials for whole blocks.
+"""Ladder monomials by a pruned fold of packed F-steps.
 
-Beta-sets are packed into integers over a fixed window and divided-power
-F-steps become bit operations.  Intermediate terms are pruned by exact
-reachability bounds: every F-step moves one bead one position up in value,
-so counts of beads above a threshold can only grow, per-runner counts can
-change by at most the number of remaining moves into or out of that
-runner, and a term violating what the block members can still absorb is
-dead.  The ladder sequences of all requested labels are evaluated together
-along a prefix trie so shared prefixes are computed once.
+The ladder monomial A(mu) is a product of divided powers F^(m) applied to
+the empty partition, and each of its terms lies in the block of mu.  The
+fold keeps the terms as packed beta-sets (see `fock`) and, after each step,
+drops the terms that can no longer reach a member of the block: an F-step
+moves one bead one position up, so the number of beads above a threshold
+never falls and rises by at most one per cell still to be added.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .laurent import LaurentPoly
-from .partitions import Partition
-
-
-def _popcount(mask, shift):
-    return (mask >> shift).bit_count()
+from .fock import mask_of, step_F, unpack
+from .partitions import EMPTY
 
 
 class _Window:
+    """Packing offset and global bead-count bounds of one block.
+
+    bounds holds (s, least, most): the fewest and the most beads at bits
+    >= s over the members of the block.  A term with more rows than every
+    member can still appear in a fold; it is dead, and so are the terms the
+    offset lo cannot represent, which only it can produce.
+    """
+
     def __init__(self, e, members):
-        rows = max(len(m.parts) for m in members)
-        cols = max(m.part(1) for m in members)
-        self.e = e
-        self.lo = -(rows + 2)
-        self.width = cols + e + 3 - self.lo
-        self.runner = [0] * e
-        for p in range(self.width):
-            self.runner[(self.lo + p) % e] |= 1 << p
-        masks = [self.mask_of(m) for m in members]
+        self.lo = -(max(len(m.parts) for m in members) + 2)
+        masks = [mask_of(m, self.lo) for m in members]
         top = max(m.bit_length() for m in masks)
-        # global thresholds: counts above them only ever grow
-        self.glob = []
+        self.bounds = []
         for back in range(0, 14 * e, max(e // 2, 1)):
             s = top - back
             if s <= 1:
                 break
-            cnts = [_popcount(m, s) for m in masks]
-            self.glob.append((s, min(cnts), max(cnts)))
-        # per-runner thresholds, corrected by remaining in/out moves
-        self.per_runner = [[] for _ in range(e)]
-        for r in range(e):
-            rmask = self.runner[r]
-            rtop = max((m & rmask).bit_length() for m in masks)
-            for back in (0, e, 2 * e, 4 * e, 8 * e):
-                s = rtop - back
-                if s <= 1:
-                    break
-                cnts = [_popcount(m & rmask, s) for m in masks]
-                self.per_runner[r].append((s, min(cnts), max(cnts)))
+            cnts = [(m >> s).bit_count() for m in masks]
+            self.bounds.append((s, min(cnts), max(cnts)))
 
-    def mask_of(self, lam):
-        parts = lam.parts
-        L = len(parts)
-        m = (1 << max(0, -self.lo - L)) - 1
-        for i, p in enumerate(parts, start=1):
-            m |= 1 << (p - i - self.lo)
-        return m
-
-    def partition_of(self, m):
-        parts = []
-        unocc = 0
-        for p in range(self.width):
-            if m >> p & 1:
-                if unocc:
-                    parts.append(unocc)
-            else:
-                unocc += 1
-        parts.reverse()
-        return Partition(parts)
-
-    def alive(self, m, rem_total, rem_by_res):
-        e = self.e
-        for s, lo_c, hi_c in self.glob:
-            c = _popcount(m, s)
-            if c > hi_c or c + rem_total < lo_c:
+    def alive(self, m, remaining):
+        """Whether m can still reach a member with `remaining` more cells."""
+        for s, least, most in self.bounds:
+            c = (m >> s).bit_count()
+            if c > most or c + remaining < least:
                 return False
-        for r in range(e):
-            r_in = rem_by_res[r]
-            r_out = rem_by_res[(r + 1) % e]
-            rmask = self.runner[r]
-            for s, lo_c, hi_c in self.per_runner[r]:
-                c = _popcount(m & rmask, s)
-                if c > hi_c + r_out or c + r_in < lo_c:
-                    return False
         return True
 
 
+def ladder_fold(sequence, e, win):
+    """A(mu) from its ladder sequence, pruned to the block of win.
+
+    sequence: the (residue, multiplicity) steps of mu, bottom ladder first.
+    """
+    lo = win.lo
+    vec = {mask_of(EMPTY, lo): {0: 1}}
+    remaining = sum(mult for _, mult in sequence)
+    for res, mult in sequence:
+        remaining -= mult
+        vec = step_F(vec, res, mult, e, lo)
+        vec = {m: c for m, c in vec.items() if win.alive(m, remaining)}
+    return unpack(vec, lo)
+
+
 def block_ladder_monomials(sequences, e, members):
-    """Evaluate the ladder monomials of many labels over a shared trie.
+    """The ladder monomials of many labels of one block.
 
     sequences: dict label -> tuple of (residue, multiplicity) steps.
-    members: the partitions of the block (used for exact pruning bounds).
+    members: the partitions of the block (used for the pruning bounds).
     Returns dict label -> FockVector.
     """
-    from .fock import FockVector
-
     win = _Window(e, members)
-    empty_mask = win.mask_of(Partition(()))
-
-    def step(vec, res, mult):
-        # coefficients are handled as raw exponent->integer dicts here
-        radd = win.runner[(res - 1) % e]
-        rrem = win.runner[res % e]
-        out = {}
-        for m, coef in vec.items():
-            A = m & ~(m >> 1) & radd
-            bits = []
-            t = A
-            while t:
-                b = t & -t
-                bits.append(b.bit_length() - 1)
-                t ^= b
-            if len(bits) < mult:
-                continue
-            R1 = m & ~((m << 1) | 1) & rrem
-            for C in combinations(bits, mult):
-                cm = 0
-                for c in C:
-                    cm |= 1 << c
-                m2 = (m ^ cm) | (cm << 1)
-                A2 = m2 & ~(m2 >> 1) & radd
-                n = 0
-                for c in C:
-                    n += _popcount(A2, c + 1) - _popcount(R1, c + 2)
-                prev = out.get(m2)
-                if prev is None:
-                    out[m2] = {k + n: v for k, v in coef.items()}
-                else:
-                    for k, v in coef.items():
-                        kk = k + n
-                        nv = prev.get(kk, 0) + v
-                        if nv:
-                            prev[kk] = nv
-                        elif kk in prev:
-                            del prev[kk]
-        return {m: c for m, c in out.items() if c}
-
-    items = sorted(sequences.items(), key=lambda kv: (kv[1], kv[0].parts))
-    results = {}
-
-    def rec(group, depth, vec):
-        rest = []
-        for label, seq in group:
-            if len(seq) == depth:
-                results[label] = FockVector(
-                    {win.partition_of(m): LaurentPoly(dict(c)) for m, c in vec.items()}
-                )
-            else:
-                rest.append((label, seq))
-        i = 0
-        while i < len(rest):
-            j = i
-            stepval = rest[i][1][depth]
-            while j < len(rest) and rest[j][1][depth] == stepval:
-                j += 1
-            sub = rest[i:j]
-            # remaining cells by residue after this step (take the max over
-            # the subgroup so the prune stays sound for every branch)
-            rem_by_res = [0] * e
-            rem_total = 0
-            for _, seq in sub:
-                tot = sum(m for _, m in seq[depth + 1 :])
-                rem_total = max(rem_total, tot)
-                byres = [0] * e
-                for r, m in seq[depth + 1 :]:
-                    byres[r % e] += m
-                for r in range(e):
-                    rem_by_res[r] = max(rem_by_res[r], byres[r])
-            v2 = step(vec, *stepval)
-            v2 = {
-                m: c
-                for m, c in v2.items()
-                if win.alive(m, rem_total, tuple(rem_by_res))
-            }
-            rec(sub, depth + 1, v2)
-            i = j
-
-    rec(items, 0, {empty_mask: {0: 1}})
-    return results
+    return {label: ladder_fold(seq, e, win) for label, seq in sequences.items()}

@@ -405,10 +405,6 @@ def weyl_s(a, i):
     return out
 
 
-def weyl_s_partition(lam, i, e):
-    return partition_of(weyl_s(abacus_of(lam, e), i))
-
-
 # -- runner addition -------------------------------------------------------
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ._ladders import _Window, ladder_fold
 from .abacus import (
     BlockId,
     abacus_of,
     block_of,
-    core_levels,
     core_quotient_weight,
     enumerate_block,
     is_rouquier,
@@ -56,28 +56,11 @@ def ladder_sequence(mu, e):
     return [((1 - k) % e, counts[k]) for k in sorted(counts)]
 
 
-def _fits_profile(lam, profile):
-    parts = lam.parts
-    if len(parts) > len(profile):
-        return False
-    return all(p <= profile[i] for i, p in enumerate(parts))
-
-
-def ladder_monomial(mu, e, profile=None):
-    """A(mu): the ordered product of divided powers F^(m) applied to empty.
-
-    An optional row profile (componentwise maximum over the partitions that
-    can still absorb the remaining cells) prunes intermediate terms exactly:
-    F only ever adds cells, so a term outside the profile can never reach a
-    partition inside it.
-    """
+def ladder_monomial(mu, e):
+    """A(mu): the ordered product of divided powers F^(m) applied to empty."""
     v = FockVector.basis(EMPTY)
     for res, mult in ladder_sequence(mu, e):
         v = apply_F(v, res, mult, e)
-        if profile is not None:
-            v = FockVector(
-                {lam: c for lam, c in v.terms.items() if _fits_profile(lam, profile)}
-            )
     return v
 
 
@@ -101,30 +84,14 @@ def llt_G(mu, e, ctx=None):
     return _llt_column(mu, e, ctx)
 
 
-def _block_profile(ctx):
-    prof = ctx.caches.get("profile")
-    if prof is None:
-        rows = max(len(lam.parts) for lam in ctx.members())
-        prof = tuple(
-            max(lam.part(i + 1) for lam in ctx.members()) for i in range(rows)
-        )
-        ctx.caches["profile"] = prof
-    return prof
-
-
 def _monomial(mu, e, ctx):
-    """A(mu), via the shared bitmask engine on blocks with large cores."""
+    """A(mu), folded once per label and pruned to the block of ctx."""
     mono = ctx.cache("monomial")
-    if mu in mono:
-        return mono[mu]
-    if ctx.block.core.size > 40:
-        from ._ladders import block_ladder_monomials
-
-        regs = [m for m in ctx.members() if is_e_regular(m, e)]
-        seqs = {m: tuple(ladder_sequence(m, e)) for m in regs}
-        mono.update(block_ladder_monomials(seqs, e, ctx.members()))
-    else:
-        mono[mu] = ladder_monomial(mu, e, profile=_block_profile(ctx))
+    if mu not in mono:
+        win = ctx.caches.get("window")
+        if win is None:
+            win = ctx.caches["window"] = _Window(e, ctx.members())
+        mono[mu] = ladder_fold(ladder_sequence(mu, e), e, win)
     return mono[mu]
 
 
@@ -316,30 +283,6 @@ class ScopesPair:
     k: int
 
 
-def scopes_pair(btilde, a):
-    """The pair (B, btilde) with btilde = s_a(B); requires addable beads on
-    runner a-1 of btilde's core."""
-    e = btilde.e
-    lv = list(core_levels(btilde.core, e))
-    if a % e == 0:
-        k = lv[e - 1] - lv[0] + 1
-        lv[0], lv[e - 1] = lv[e - 1] + 1, lv[0] - 1
-    else:
-        a %= e
-        k = lv[a - 1] - lv[a]
-        lv[a - 1], lv[a] = lv[a], lv[a - 1]
-    if k < 1:
-        raise ValueError("core has no addable beads on runner %d-1" % a)
-    from .abacus import core_from_levels
-
-    return ScopesPair(
-        block=BlockId(e, core_from_levels(tuple(lv), e), btilde.weight),
-        tilde=btilde,
-        a=a % e,
-        k=k,
-    )
-
-
 @dataclass(frozen=True)
 class ExceptionalFamily:
     """The 2(k+2) partitions F-generated from a generator with E = 0."""
@@ -426,10 +369,6 @@ def _solve_integer(cols, target):
         if sum(int(sol[j]) * cols[j][i] for j in range(n)) != target[i]:
             return None
     return [int(v) for v in sol]
-
-
-def check_block(lam, b):
-    return block_of(lam, b.e) == b
 
 
 def exceptional_family(gen, pair):

@@ -9,7 +9,7 @@ import sys
 from .abacus import BlockId, block_of, core_of, quotient_of
 from .beadops import MoveError, lambda_of_hook, move_along, move_one, mullineux_crystal, mullineux_fast
 from .canonical import InductiveEngine, llt_G, rouquier_d
-from .labels import BlockContext, hat_z, modified_basis, z_label
+from .labels import BlockContext, hat_z, is_m_increasing, modified_basis, z_label
 from .partitions import format_partition, hooks_e, parse_partition
 from .polytope import build_tiling, d_closed, export_tiling, pi_membership
 from . import verify as verify_mod
@@ -37,8 +37,15 @@ def _parse_label(text):
     return tuple(int(t) for t in text.split(","))
 
 
+def _closed_domain(mu, e):
+    """The closed formula gives q-decomposition numbers for 4-increasing mu."""
+    if not is_m_increasing(z_label(mu, e), 4):
+        raise ValueError("the closed formula requires a 4-increasing partition")
+
+
 def _dnum_one(lam, mu, e, method, engines):
     if method == "closed":
+        _closed_domain(mu, e)
         return d_closed(lam, mu, e)
     if method == "llt":
         return llt_G(mu, e, engines.setdefault(("ctx", block_of(mu, e)), BlockContext(block_of(mu, e)))).coeff(lam)
@@ -172,6 +179,7 @@ def _dispatch(args):
         else:
             from .fock import FockVector
 
+            _closed_domain(mu, e)
             col = FockVector({lam: d_closed(lam, mu, e) for lam in ctx.members()})
         payload = {
             "block": b.to_json(),

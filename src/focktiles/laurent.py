@@ -98,9 +98,6 @@ class LaurentPoly:
     def min_exp(self):
         return min(self.coeffs) if self.coeffs else 0
 
-    def max_exp(self):
-        return max(self.coeffs) if self.coeffs else 0
-
     def bar(self):
         """The bar involution q -> q^{-1}."""
         return _wrap({-e: c for e, c in self.coeffs.items()})
@@ -111,10 +108,6 @@ class LaurentPoly:
     def in_qZq(self):
         """True iff every exponent is strictly positive."""
         return all(e > 0 for e in self.coeffs)
-
-    def evaluate(self, value):
-        """Evaluate at an integer or Fraction value of q (exact)."""
-        return sum(c * value**e for e, c in self.coeffs.items())
 
     def exact_div(self, other):
         """Exact division in Z[q, q^-1]; raises if the quotient is not exact."""

@@ -65,10 +65,6 @@ class Partition:
             for j in range(1, p + 1):
                 yield (i, j)
 
-    def contains_cell(self, cell):
-        i, j = cell
-        return 1 <= i <= len(self.parts) and 1 <= j <= self.parts[i - 1]
-
     def contains(self, other):
         """Containment of Young diagrams."""
         return all(self.part(i + 1) >= p for i, p in enumerate(other.parts))

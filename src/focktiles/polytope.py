@@ -184,9 +184,6 @@ class Tiling:
     m: int
     cells: list  # (owner, Parallelotope, Hypercube)
 
-    def owners(self):
-        return [c[0] for c in self.cells]
-
     def generic_cells(self):
         e = self.block.e
         out = []
@@ -278,11 +275,11 @@ def _minimal_face(pi, pts):
         verts[g] = pi.vertex(sorted(g))
     hits = [g for g, v in verts.items() if v in pts]
     if not hits:
-        return set(), True
+        return set()
     lo = frozenset.intersection(*hits)
     hi = frozenset.union(*hits)
     face = {verts[g] for g, v in verts.items() if lo <= g <= hi}
-    return face, True
+    return face
 
 
 def check_common_faces(t):
@@ -304,8 +301,8 @@ def check_common_faces(t):
             inter = v1 & v2
             if not inter:
                 continue
-            f1, _ = _minimal_face(p1, inter)
-            f2, _ = _minimal_face(p2, inter)
+            f1 = _minimal_face(p1, inter)
+            f2 = _minimal_face(p2, inter)
             if {v for v in f1 if is_m_increasing(v, t.m)} != inter:
                 return False
             if {v for v in f2 if is_m_increasing(v, t.m)} != inter:

@@ -458,33 +458,16 @@ SUITES = {
 
 
 def run(names=None, out=print):
-    """Run the requested suites (all by default); returns overall success.
-
-    FOCKTILES_THREADS caps how many suites run concurrently (default 1);
-    output is serialized per suite in the fixed order regardless.
-    """
-    import os
-    from concurrent.futures import ThreadPoolExecutor
-
+    """Run the requested suites (all by default), in order; returns overall success."""
     names = list(SUITES) if not names else names
     for name in names:
         if name not in SUITES:
             raise ValueError("unknown suite %r" % name)
-
-    def job(name):
+    ok_all = True
+    for name in names:
         fn, title = SUITES[name]
         t0 = time.time()
         ok, detail = fn()
-        return name, title, ok, detail, time.time() - t0
-
-    workers = max(1, int(os.environ.get("FOCKTILES_THREADS", "1")))
-    ok_all = True
-    if workers == 1:
-        results = map(job, names)
-    else:
-        pool = ThreadPoolExecutor(max_workers=min(workers, len(names)))
-        results = pool.map(job, names)
-    for name, title, ok, detail, dt in results:
         ok_all = ok_all and ok
-        out("%s %-4s %-34s %s (%.1fs)" % ("PASS" if ok else "FAIL", name.upper(), title, detail, dt))
+        out("%s %-4s %-34s %s (%.1fs)" % ("PASS" if ok else "FAIL", name.upper(), title, detail, time.time() - t0))
     return ok_all

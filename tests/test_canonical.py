@@ -1,6 +1,6 @@
 import pytest
 
-from focktiles.partitions import EMPTY, Partition, all_partitions, is_e_regular, parse_partition
+from focktiles.partitions import EMPTY, all_partitions, is_e_regular, parse_partition
 from focktiles.abacus import BlockId, block_of, core_from_levels, is_rouquier, scopes_chain_blocks
 from focktiles.canonical import (
     InductiveEngine,
@@ -60,26 +60,24 @@ def test_llt_canonical_characterization():
                     assert c.in_qZq()
 
 
-def test_monomial_profile_prune_is_exact():
-    b = BlockId(3, Partition((1,)), 3)
-    ctx = BlockContext(b)
-    from focktiles.canonical import _block_profile
-
-    for mu in ctx.members():
-        if is_e_regular(mu, 3):
-            assert ladder_monomial(mu, 3) == ladder_monomial(mu, 3, profile=_block_profile(ctx))
-
-
-def test_fast_monomials_match():
+def test_pruned_monomials_match_unpruned_fold():
+    # ladder_monomial folds the public apply_F from the empty partition with
+    # no pruning; the block fold must drop only terms that cannot survive
     from focktiles._ladders import block_ladder_monomials
 
-    for b in [BlockId(2, P("1"), 2), BlockId(3, EMPTY, 3), BlockId(4, P("2"), 2)]:
+    rouquier72 = BlockId(7, core_from_levels(tuple(range(7)), 7), 2)
+    assert rouquier72.core.size == 126 and is_rouquier(rouquier72)
+    cases = [(b, None) for b in (BlockId(2, P("1"), 2), BlockId(3, EMPTY, 3), BlockId(4, P("2"), 2))]
+    cases.append((rouquier72, 5))
+    for b, count in cases:
         ctx = BlockContext(b)
         regs = [m for m in ctx.members() if is_e_regular(m, b.e)]
+        if count is not None:
+            regs = regs[:: len(regs) // count][:count]
         seqs = {m: tuple(ladder_sequence(m, b.e)) for m in regs}
-        fast = block_ladder_monomials(seqs, b.e, ctx.members())
+        pruned = block_ladder_monomials(seqs, b.e, ctx.members())
         for m in regs:
-            assert fast[m] == ladder_monomial(m, b.e)
+            assert pruned[m] == ladder_monomial(m, b.e)
 
 
 def test_lr_coefficient():

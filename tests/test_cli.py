@@ -95,6 +95,12 @@ def test_exit_codes():
     assert code == 2
     code, _, err = _capture(["mullineux", "--e", "3", "2,2,2"])
     assert code == 1
+    # z(8) = (4,3) is not 4-increasing: the closed formula is out of its
+    # theorem there (it would print q^2; LLT gives 0), so both verbs refuse
+    code, out, err = _capture(["dnum", "--e", "4", "4,4", "8"])
+    assert code == 1 and out == "" and err.startswith("error:")
+    code, out, err = _capture(["gcolumn", "--e", "4", "--method", "closed", "8"])
+    assert code == 1 and out == "" and err.startswith("error:")
 
 
 def test_json_flag():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from focktiles.partitions import EMPTY, Partition, all_partitions, parse_partition
 from focktiles.abacus import block_of
@@ -18,6 +19,69 @@ def test_examples_e2():
     assert apply_E(FockVector.basis(EMPTY), 0, 1, 2) == FockVector()
     # too few addable beads gives zero
     assert apply_F(FockVector.basis(EMPTY), 0, 2, 2) == FockVector()
+
+
+def _i_nodes(lam, i, e):
+    """Addable and removable nodes of residue i, as (content, row) pairs."""
+    rows = list(lam.parts) + [0]
+    add, rem = [], []
+    for r, p in enumerate(rows, start=1):
+        if (r == 1 or rows[r - 2] > p) and (p + 1 - r) % e == i:
+            add.append((p + 1 - r, r))
+        if p > (rows[r] if r < len(rows) else 0) and (p - r) % e == i:
+            rem.append((p - r, r))
+    return add, rem
+
+
+def _grow(lam, row, d):
+    parts = list(lam.parts) + [0]
+    parts[row - 1] += d
+    return Partition(parts)
+
+
+def reference_F(lam, i, e):
+    """F_i(lam) from the definition: one term per addable i-node, with q to
+    the addable minus removable i-nodes strictly right of it."""
+    add, rem = _i_nodes(lam, i, e)
+    return FockVector({
+        _grow(lam, r, 1): q(sum(x > c for x, _ in add) - sum(x > c for x, _ in rem))
+        for c, r in add
+    })
+
+
+def reference_E(lam, i, e):
+    """E_i(lam) from the definition: one term per removable i-node, with q to
+    the removable minus addable i-nodes strictly left of it."""
+    add, rem = _i_nodes(lam, i, e)
+    return FockVector({
+        _grow(lam, r, -1): q(sum(x < c for x, _ in rem) - sum(x < c for x, _ in add))
+        for c, r in rem
+    })
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_node_level_reference(e):
+    for n in range(0, 9):
+        for lam in all_partitions(n):
+            for i in range(e):
+                assert apply_F(lam, i, 1, e) == reference_F(lam, i, e)
+                assert apply_E(lam, i, 1, e) == reference_E(lam, i, e)
+
+
+@st.composite
+def large_partitions(draw):
+    """Random partitions of more than 40 nodes."""
+    parts = sorted(draw(st.lists(st.integers(1, 12), min_size=1, max_size=16)), reverse=True)
+    parts[0] += max(0, 41 - sum(parts))
+    return Partition(parts)
+
+
+@given(large_partitions(), st.integers(2, 7), st.integers(0, 6))
+@settings(max_examples=150, deadline=None)
+def test_node_level_reference_large(lam, e, i):
+    i %= e
+    assert apply_F(lam, i, 1, e) == reference_F(lam, i, e)
+    assert apply_E(lam, i, 1, e) == reference_E(lam, i, e)
 
 
 def test_pairing():
