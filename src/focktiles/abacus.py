@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .partitions import Partition
+from .partitions import EMPTY, Partition
 
 
 class Abacus:
@@ -120,15 +120,22 @@ class Abacus:
 
     def move_bead(self, x, y):
         """Slide the bead at x to the unoccupied position y."""
-        if not self.occupied(x):
-            raise ValueError("no bead at %d" % x)
-        if self.occupied(y):
-            raise ValueError("position %d already occupied" % y)
+        return self.move_beads(((x, y),))
+
+    def move_beads(self, moves):
+        """Slide the bead at each x to its unoccupied position y, all at once."""
+        low = self.base
+        for x, y in moves:
+            if not self.occupied(x):
+                raise ValueError("no bead at %d" % x)
+            if self.occupied(y):
+                raise ValueError("position %d already occupied" % y)
+            low = min(low, x, y)
+        low -= 1
         occ = self._window_set()
-        low = min(self.base, y, x) - 1
         occ.update(range(low, self.base))
-        occ.discard(x)
-        occ.add(y)
+        occ.difference_update(x for x, _ in moves)
+        occ.update(y for _, y in moves)
         return Abacus.from_occupied(self.e, occ, low)
 
     def shift(self, c):
@@ -161,18 +168,28 @@ def partition_of(a):
     return Partition(parts)
 
 
+def _core_tops(a):
+    """Top-bead position of each runner of the e-core of a, in a's charge."""
+    e = a.e
+    return [a.first_slot(r) + (len(a.runner_positions(r)) - 1) * e for r in range(e)]
+
+
 def _cqw_from_abacus(a):
     e = a.e
     quot = []
     weight = 0
-    tops = []
     for r in range(e):
-        occ = a.runner_positions(r)
-        wts = [a.weight_of(b) for b in reversed(occ)]
-        weight += sum(wts)
-        quot.append(Partition([w for w in wts if w]))
         s = a.first_slot(r)
-        tops.append(s + (len(occ) - 1) * e)
+        # the j-th bead from the bottom of the runner has j beads and
+        # (b - s) // e slots below it; its gap count is the difference
+        wts = [(b - s) // e - j for j, b in enumerate(a.runner_positions(r))]
+        wts.reverse()
+        weight += sum(wts)
+        parts = [w for w in wts if w]
+        quot.append(Partition(parts) if parts else EMPTY)
+    if weight == 0:
+        return partition_of(a), tuple(quot), 0  # a is a core display
+    tops = _core_tops(a)
     lo = min(tops) - e
     occ = set()
     for r in range(e):
@@ -384,25 +401,26 @@ def core_reflection_counts(lv, e, i):
 
 
 def weyl_s(a, i):
-    """The crystal Weyl-group action of the simple reflection s_i."""
+    """The crystal Weyl-group action of the simple reflection s_i.
+
+    Runner i of the core of a ends k = (x_i - x_{i-1} - 1) / e levels above
+    runner i-1, where x are the top-bead positions (x_{-1} is runner e-1).
+    For k > 0 this is Etilde_i^k, which moves the first k normal beads down
+    one position; for k < 0 it is Ftilde_i^-k, which fills the last -k
+    conormal slots.  Both come from one matched signature.
+    """
     e = a.e
     i %= e
-    lam = partition_of(a)
-    core = core_of(lam, e)
-    lv = core_levels(core, e)
-    k_rem, k_add = core_reflection_counts(lv, e, i)
-    out = a
-    if k_rem > 0:
-        for _ in range(k_rem):
-            out = crystal_E(out, i)
-            if out is None:
-                raise AssertionError("crystal string shorter than Weyl step")
-    elif k_add > 0:
-        for _ in range(k_add):
-            out = crystal_F(out, i)
-            if out is None:
-                raise AssertionError("crystal string shorter than Weyl step")
-    return out
+    tops = _core_tops(a)
+    k = (tops[i] - tops[i - 1] - 1) // e
+    if k == 0:
+        return a
+    normals, slots = _matched_signature(a, i)
+    if len(normals if k > 0 else slots) < abs(k):
+        raise AssertionError("crystal string shorter than Weyl step")
+    if k > 0:
+        return a.move_beads([(x, x - 1) for x in normals[:k]])
+    return a.move_beads([(t - 1, t) for t in slots[len(slots) + k :]])
 
 
 # -- runner addition -------------------------------------------------------
@@ -432,24 +450,25 @@ def add_full_runner(lam, e):
 # -- Rouquier predicate and Scopes chains ----------------------------------
 
 
-def _rotated_levels(levels, c):
-    """Runner levels after a charge shift by c (a rotation of the vector)."""
+def _shifted_levels(levels, c):
+    """Runner levels after a charge shift by c: runner s takes runner s - c,
+    one level higher when that runner wraps past e - 1."""
     e = len(levels)
-    return tuple(levels[(s - c) % e] for s in range(e))
+    return tuple(levels[s - c] + (s < c) for s in range(e))
 
 
 def rouquier_charge(b):
     """Least charge shift making the core's runner gaps Rouquier-large.
 
     Returns c in [0, e) such that the shifted display has at least w-1
-    removable beads and no addable beads on every runner a in [1, e), or
-    None when no shift works.
+    more beads on every runner a in [1, e) than on runner a-1, or None
+    when no shift works.
     """
     lv = core_levels(b.core, b.e)
     need = max(b.weight - 1, 0)
     for c in range(b.e):
-        rot = _rotated_levels(lv, c)
-        if all(rot[a] - rot[a - 1] >= need for a in range(1, b.e)):
+        sh = _shifted_levels(lv, c)
+        if all(sh[a] - sh[a - 1] >= need for a in range(1, b.e)):
             return c
     return None
 
@@ -458,15 +477,72 @@ def is_rouquier(b):
     return rouquier_charge(b) is not None
 
 
-def _deficit(levels, need):
-    """Best-rotation total gap deficit; zero iff Rouquier."""
-    e = len(levels)
-    best = None
-    for c in range(e):
-        rot = _rotated_levels(levels, c)
-        d = sum(max(0, need - (rot[a] - rot[a - 1])) for a in range(1, e))
-        best = d if best is None else min(best, d)
-    return best
+def core_inversions(levels, e):
+    """The inversion table M of a core, given its runner levels.
+
+    With x_0 < ... < x_{e-1} the sorted top-bead positions r + e*levels[r],
+    M[i][j] = ceil((x_i - x_j) / e) - 1 for i > j (zero for i <= j) counts
+    the affine inversions between the i-th and j-th sorted runners.  Its
+    sum is the affine length, the number of cells with hook length < e, and
+    b <= kappa in the left weak order exactly when M(kappa) >= M(b)
+    entrywise.
+    """
+    x = sorted(r + e * lv for r, lv in enumerate(levels))
+    return tuple(
+        tuple(-((x[j] - x[i]) // e) - 1 if j < i else 0 for j in range(e))
+        for i in range(e)
+    )
+
+
+def affine_length(levels, e):
+    """Length of a core in the affine Weyl group: its cells with hook length < e."""
+    return sum(map(sum, core_inversions(levels, e)))
+
+
+@lru_cache(maxsize=128)
+def _rouquier_base(e, need, levels):
+    """Levels of a least-length Rouquier core above `levels` in the left
+    weak order, for runner gaps of at least `need`.
+
+    A Rouquier core has sorted tops x_t = x_0 + t + e*G_t with G_0 = 0 and
+    gaps g_t = G_t - G_{t-1} >= need, so M[i][j] = G_i - G_j and its length
+    is sum g_t * t * (e - t); x_0 follows from the level sum.  The search
+    picks g_1, ..., g_{e-1} in turn, carrying for each later i the part of
+    the bound G_i - G_j >= M_b[i][j] (over every chosen j) still owed by
+    g_t + ... + g_i, and memoizes on that residue.
+    """
+    m = core_inversions(levels, e)
+    memo = {}
+
+    def best(t, owed):
+        if t == e:
+            return 0, ()
+        key = (t, owed)
+        if key not in memo:
+            lo = max(need, owed[0])
+            hi = max([lo] + [owed[i - t] - need * (i - t) for i in range(t + 1, e)])
+            out = None
+            for g in range(lo, hi + 1):
+                rest = tuple(
+                    max(owed[i - t] - g, m[i][t], need * (i - t)) for i in range(t + 1, e)
+                )
+                cost, tail = best(t + 1, rest)
+                cost += g * t * (e - t)
+                if out is None or cost < out[0]:
+                    out = (cost, (g,) + tail)
+            memo[key] = out
+        return memo[key]
+
+    _, gaps = best(1, tuple(max(m[i][0], need * i) for i in range(1, e)))
+    big = [0]
+    for g in gaps:
+        big.append(big[-1] + g)
+    x0 = sum(levels) - sum(big)
+    out = [0] * e
+    for t in range(e):
+        x = x0 + t + e * big[t]
+        out[x % e] = (x - x % e) // e
+    return tuple(out)
 
 
 def scopes_chain(b):
@@ -476,47 +552,34 @@ def scopes_chain(b):
     the i-th core has k_i >= 1 removable beads on runner a_i, lands on b.
     The chain is empty when b is already Rouquier.
 
-    Construction, in runner-level coordinates (reverse steps from b): sort
-    the level vector with adjacent descent swaps, then, while the smallest
-    sorted gap below the target persists at index p, run p+1 rounds of the
-    affine wrap followed by a right-bubble of the pumped maximum.  Each
-    round decrements the p+1 lowest levels and raises the top one, so the
-    total gap deficit strictly decreases.
+    B_0 is a least-length Rouquier block above b in the left weak order
+    (`_rouquier_base`), and every step is a descent that keeps the core
+    above b: s_a with k removable beads lowers exactly one inversion count,
+    M[rank of runner a][rank of runner a-1], from k to k-1.  The chain is
+    therefore reduced, of length l(B_0) - l(b).
     """
     e, w = b.e, b.weight
     if w < 1:
         raise ValueError("scopes_chain requires weight >= 1")
-    need = max(w - 1, 0)
-    lv = list(core_levels(b.core, b.e))
-    rev = []
-
-    def sort_pass():
-        while True:
-            swapped = False
-            for a in range(1, e):
-                if lv[a - 1] > lv[a]:
-                    rev.append((a, lv[a - 1] - lv[a]))
-                    lv[a - 1], lv[a] = lv[a], lv[a - 1]
-                    swapped = True
-            if not swapped:
-                return
-
-    while _deficit(tuple(lv), need) > 0:
-        sort_pass()
-        gaps = [lv[i + 1] - lv[i] for i in range(e - 1)]
-        if all(g >= need for g in gaps):
-            break
-        p = next(i for i, g in enumerate(gaps) if g < need)
-        for _ in range(p + 1):
-            if lv[e - 1] < lv[0]:
-                raise AssertionError("illegal wrap during chain construction")
-            rev.append((0, lv[e - 1] - lv[0] + 1))
-            lv[0], lv[e - 1] = lv[e - 1] + 1, lv[0] - 1
-            for a in range(1, e):
-                if lv[a - 1] > lv[a]:
-                    rev.append((a, lv[a - 1] - lv[a]))
-                    lv[a - 1], lv[a] = lv[a], lv[a - 1]
-    return [step for step in reversed(rev)]
+    target = core_levels(b.core, e)
+    m_b = core_inversions(target, e)
+    goal = [r + e * lv for r, lv in enumerate(target)]
+    x = [r + e * lv for r, lv in enumerate(_rouquier_base(e, w - 1, target))]
+    rank = [0] * e
+    for i, r in enumerate(sorted(range(e), key=x.__getitem__)):
+        rank[r] = i
+    chain = []
+    while x != goal:
+        for a in range(e):
+            k = (x[a] - x[a - 1] - 1) // e
+            if k > m_b[rank[a]][rank[a - 1]]:
+                break
+        else:
+            raise AssertionError("no reduced Scopes step toward the target")
+        chain.append((a, k))
+        x[a - 1], x[a] = x[a] - 1, x[a - 1] + 1
+        rank[a - 1], rank[a] = rank[a], rank[a - 1]
+    return chain
 
 
 def scopes_chain_blocks(b):

@@ -192,8 +192,12 @@ def rouquier_d(lam, mu, b):
     if block_of(lam, b.e) != b or block_of(mu, b.e) != b:
         raise ValueError("both partitions must lie in the block")
     e = b.e
-    ql = shifted_quotient(lam, e, c)
-    qm = shifted_quotient(mu, e, c)
+    return _rouquier_value(shifted_quotient(lam, e, c), shifted_quotient(mu, e, c), e)
+
+
+def _rouquier_value(ql, qm, e):
+    """The LR-product formula on shifted quotients, cross-checked by the
+    reduced hook formula when the mu quotient is all columns."""
     sl = [q.size for q in ql]
     sm = [q.size for q in qm]
     delta = sum((e - 1 - j) * (sl[j] - sm[j]) for j in range(e - 1))
@@ -260,11 +264,28 @@ def _rouquier_d_reduced(ql, qm, e):
 
 
 def rouquier_column(mu, b, ctx=None):
-    """The full column of d_{lambda,mu} over a Rouquier block."""
+    """The full column of d_{lambda,mu} over a Rouquier block.
+
+    The charge, mu's block and mu's shifted quotient are read once per
+    column; the shifted quotient of each member once per block context.
+    """
+    c = rouquier_charge(b)
+    if c is None:
+        raise ValueError("%r is not a Rouquier block" % (b,))
+    if block_of(mu, b.e) != b:
+        raise ValueError("mu must lie in the block")
     ctx = ctx or BlockContext(b)
+    if ctx.block != b:
+        raise ValueError("the context must belong to the block")
+    e = b.e
+    quots = ctx.cache("shifted_quotient")
+    qm = shifted_quotient(mu, e, c)
     out = {}
     for lam in ctx.members():
-        v = rouquier_d(lam, mu, b)
+        ql = quots.get(lam)
+        if ql is None:
+            ql = quots[lam] = shifted_quotient(lam, e, c)
+        v = _rouquier_value(ql, qm, e)
         if v:
             out[lam] = v
     return FockVector(out)

@@ -8,11 +8,14 @@ from focktiles.abacus import (
     BlockId,
     abacus_of,
     add_full_runner,
+    affine_length,
     block_of,
     core_from_levels,
+    core_inversions,
     core_levels,
     core_of,
     core_quotient_weight,
+    core_reflection_counts,
     crystal_E,
     crystal_F,
     enumerate_block,
@@ -41,6 +44,10 @@ def test_roundtrip(lam, e):
     core, quot, w = core_quotient_weight(a)
     assert lam.size == core.size + e * w
     assert w == sum(q.size for q in quot)
+    # per-bead reference: a bead's part is the number of gaps above it
+    for r in range(e):
+        wts = [a.weight_of(x) for x in reversed(a.runner_positions(r))]
+        assert quot[r] == Partition([x for x in wts if x])
 
 
 def test_beta_conjugation_convention():
@@ -133,6 +140,37 @@ def test_weyl_action():
                     )
 
 
+def _weyl_s_reference(a, i):
+    """s_i as k single crystal steps, k read off the core's runner levels."""
+    e = a.e
+    lv = core_levels(core_of(partition_of(a), e), e)
+    k_rem, k_add = core_reflection_counts(lv, e, i)
+    op = crystal_E if k_rem else crystal_F
+    for _ in range(k_rem or k_add):
+        a = op(a, i)
+    return a
+
+
+def test_weyl_s_matches_crystal_steps():
+    for e in (2, 3, 4, 5):
+        for n in range(0, 11):
+            for lam in all_partitions(n):
+                a = abacus_of(lam, e)
+                for i in range(e):
+                    assert partition_of(weyl_s(a, i)) == partition_of(_weyl_s_reference(a, i))
+
+
+large_parts = st.lists(st.integers(1, 20), min_size=6, max_size=14).filter(lambda v: sum(v) > 40)
+
+
+@given(large_parts, st.integers(2, 7))
+@settings(max_examples=60, deadline=None)
+def test_weyl_s_matches_crystal_steps_large(parts, e):
+    a = abacus_of(Partition(sorted(parts, reverse=True)), e)
+    for i in range(e):
+        assert partition_of(weyl_s(a, i)) == partition_of(_weyl_s_reference(a, i))
+
+
 def test_weyl_braid_relations():
     rng = random.Random(5)
     for e in (3, 4, 5):
@@ -186,6 +224,11 @@ def test_rouquier_predicate():
     assert is_rouquier(b) and rouquier_charge(b) == 1
     assert is_rouquier(BlockId(4, core_from_levels((0, 1, 2, 3), 4), 2))
     assert not is_rouquier(block_of(parse_partition("17,7,2^4,1^5"), 10))
+    # runners of (2) sorted by top bead are 2, 0, 1 with level gaps 0 and 1:
+    # consecutive in the cyclic order, but short of w - 1 = 1 after the wrap
+    assert core_levels(parse_partition("2"), 3) == (-1, 0, -2)
+    assert not is_rouquier(BlockId(3, parse_partition("2"), 2))
+    assert is_rouquier(BlockId(3, parse_partition("2"), 1))
 
 
 def test_scopes_chain():
@@ -198,7 +241,6 @@ def test_scopes_chain():
         assert is_rouquier(blocks[0])
         assert len(blocks) == len(chain) + 1
         # replay forward: each step must have k removable beads on runner a
-        from focktiles.abacus import core_reflection_counts
         for i, (a, k) in enumerate(chain):
             lv = core_levels(blocks[i].core, b.e)
             k_rem, _ = core_reflection_counts(lv, b.e, a)
@@ -207,3 +249,111 @@ def test_scopes_chain():
             assert stepped == blocks[i + 1].core
     with pytest.raises(ValueError):
         scopes_chain(BlockId(3, EMPTY, 0))
+
+
+def _hook_length(core, e):
+    """Affine length of an e-core: its cells with hook length < e."""
+    conj = conjugate(core)
+    return sum(
+        1 for i, j in core.cells() if core.part(i) - j + conj.part(j) - i + 1 < e
+    )
+
+
+def _weak_leq(b, kappa, e):
+    mb = core_inversions(core_levels(b, e), e)
+    mk = core_inversions(core_levels(kappa, e), e)
+    return all(x >= y for rk, rb in zip(mk, mb) for x, y in zip(rk, rb))
+
+
+@pytest.mark.parametrize("e,max_len", [(2, 14), (3, 11), (4, 10), (5, 9)])
+def test_weak_order_is_descent_reachability(e, max_len):
+    # every e-core of affine length <= max_len, grown from the empty core
+    cores, frontier = {EMPTY}, [EMPTY]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for a in range(e):
+                d = partition_of(weyl_s(abacus_of(c, e), a))
+                if d not in cores and _hook_length(d, e) <= max_len:
+                    cores.add(d)
+                    nxt.append(d)
+        frontier = nxt
+    length = {c: _hook_length(c, e) for c in cores}
+    below = {}
+    for c in sorted(cores, key=length.get):
+        assert affine_length(core_levels(c, e), e) == length[c]
+        down = {c}
+        for a in range(e):
+            d = partition_of(weyl_s(abacus_of(c, e), a))
+            if length.get(d, max_len + 1) < length[c]:
+                assert length[d] == length[c] - 1
+                down |= below[d]
+        below[c] = down
+    for kappa in cores:
+        for b in cores:
+            assert (b in below[kappa]) == _weak_leq(b, kappa, e)
+
+
+def _rouquier_cores(e, need, max_len):
+    """Every e-core of affine length < max_len whose sorted runners are
+    cyclically consecutive with level gaps >= need, built from its gaps."""
+    out = []
+
+    def rec(gaps, cost):
+        t = len(gaps) + 1
+        if t == e:
+            big = [0]
+            for g in gaps:
+                big.append(big[-1] + g)
+            x0 = -e - sum(big)
+            lv = [0] * e
+            for i in range(e):
+                x = x0 + i + e * big[i]
+                lv[x % e] = (x - x % e) // e
+            out.append((cost, core_from_levels(tuple(lv), e)))
+            return
+        g = need
+        while cost + g * t * (e - t) < max_len:
+            rec(gaps + [g], cost + g * t * (e - t))
+            g += 1
+
+    rec([], 0)
+    return out
+
+
+@pytest.mark.parametrize("e", [3, 4, 5])
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_scopes_chain_least_length_base(e, w):
+    targets = [lam for n in range(11) for lam in all_partitions(n) if weight_of(lam, e) == 0]
+    chains = {core: scopes_chain_blocks(BlockId(e, core, w)) for core in targets}
+    top = max(_hook_length(blocks[0].core, e) for blocks, _ in chains.values())
+    cands = _rouquier_cores(e, w - 1, top)
+    for cost, kappa in cands:
+        assert is_rouquier(BlockId(e, kappa, w)) and _hook_length(kappa, e) == cost
+    if e == 3:
+        # the gap construction misses no Rouquier core of small length
+        found = set()
+        for l0 in range(-8, 8):
+            for l1 in range(-8, 8):
+                kappa = core_from_levels((l0, l1, -3 - l0 - l1), e)
+                if _hook_length(kappa, e) < top and is_rouquier(BlockId(e, kappa, w)):
+                    found.add(kappa)
+        assert found == {kappa for _, kappa in cands}
+    for core, (blocks, chain) in chains.items():
+        base = blocks[0].core
+        assert is_rouquier(blocks[0])
+        assert len(chain) == _hook_length(base, e) - _hook_length(core, e)
+        assert _weak_leq(core, base, e)
+        assert not any(
+            cost < _hook_length(base, e) and _weak_leq(core, kappa, e) for cost, kappa in cands
+        )
+
+
+def test_scopes_chain_e10_base():
+    b = block_of(parse_partition("17,7,2^4,1^5"), 10)
+    blocks, chain = scopes_chain_blocks(b)
+    base = blocks[0].core
+    assert len(chain) == 323
+    assert _hook_length(base, 10) == affine_length(core_levels(base, 10), 10) == 330
+    assert base.size == 1815
+    assert sum(k for _, k in chain) == base.size - b.core.size

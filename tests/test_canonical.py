@@ -1,7 +1,18 @@
 import pytest
 
 from focktiles.partitions import EMPTY, all_partitions, is_e_regular, parse_partition
-from focktiles.abacus import BlockId, block_of, core_from_levels, is_rouquier, scopes_chain_blocks
+from focktiles.abacus import (
+    BlockId,
+    abacus_of,
+    block_of,
+    core_from_levels,
+    core_levels,
+    core_reflection_counts,
+    is_rouquier,
+    partition_of,
+    weight_of,
+    weyl_s,
+)
 from focktiles.canonical import (
     InductiveEngine,
     ScopesPair,
@@ -110,6 +121,31 @@ def test_rouquier_examples():
         rouquier_d(P("4,1"), P("5"), b)
 
 
+@pytest.mark.parametrize("e,w", [(5, 3), (6, 2)])
+def test_rouquier_column_matches_rouquier_d(e, w):
+    b = BlockId(e, core_from_levels(tuple((w - 1) * a for a in range(e)), e), w)
+    assert is_rouquier(b)
+    ctx = BlockContext(b)
+    for mu in ctx.members():
+        col = rouquier_column(mu, b, ctx)
+        for lam in ctx.members():
+            assert col.coeff(lam) == rouquier_d(lam, mu, b)
+
+
+def test_rouquier_predicate_matches_llt():
+    # every block the predicate accepts has LLT columns equal to the LR formula
+    for e in (3, 4):
+        cores = [lam for n in range(25) for lam in all_partitions(n) if weight_of(lam, e) == 0]
+        for core in cores:
+            b = BlockId(e, core, 2)
+            if not is_rouquier(b):
+                continue
+            ctx = BlockContext(b)
+            for mu in ctx.members():
+                if is_e_regular(mu, e):
+                    assert rouquier_column(mu, b, ctx) == llt_G(mu, e, ctx)
+
+
 def test_rouquier_column_vs_llt():
     b = BlockId(4, core_from_levels((0, 1, 2, 3), 4), 2)
     ctx = BlockContext(b)
@@ -122,12 +158,18 @@ def test_rouquier_column_vs_llt():
         assert col == G
 
 
+def _pair_into(b, a, k):
+    """The [w:k]-pair for runner a whose upper block s_a(B) is b."""
+    upper = BlockId(b.e, partition_of(weyl_s(abacus_of(b.core, b.e), a)), b.weight)
+    assert core_reflection_counts(core_levels(upper.core, b.e), b.e, a) == (k, 0)
+    return ScopesPair(block=upper, tilde=b, a=a, k=k)
+
+
 def test_exceptional_family_structure():
     mu = P("17,7,2^4,1^5")
     b = block_of(mu, 10)
-    blocks, chain = scopes_chain_blocks(b)
-    a, k = chain[-1]
-    pair = ScopesPair(block=blocks[-2], tilde=b, a=a, k=k)
+    a, k = 7, 1
+    pair = _pair_into(b, a, k)
     fams = hook_quotient_families(pair)
     assert fams
     e = 10
@@ -175,9 +217,8 @@ def test_exceptional_family_structure():
 def test_exceptional_family_errors():
     mu = P("17,7,2^4,1^5")
     b = block_of(mu, 10)
-    blocks, chain = scopes_chain_blocks(b)
-    a, k = chain[-1]
-    pair = ScopesPair(block=blocks[-2], tilde=b, a=a, k=k)
+    a, k = 7, 1
+    pair = _pair_into(b, a, k)
     fams = hook_quotient_families(pair)
     with pytest.raises(ValueError):
         exceptional_family(fams[0].upper[0], pair)  # E does not vanish
@@ -233,16 +274,14 @@ def test_unique_zero_separated_family():
     from focktiles.polytope import pi_membership
 
     exercised = 0
-    for core, mu in [
-        (P("9,1^5"), P("18,6,2^4,1^9")),
-        (P("9,1^4"), P("18,5,2^4,1^9")),
-        (P("4"), P("13,5,1^13")),
+    for core, mu, a in [
+        (P("9,1^5"), P("18,6,2^4,1^9"), 3),
+        (P("9,1^4"), P("18,5,2^4,1^9"), 4),
+        (P("4"), P("13,5,1^13"), 4),
     ]:
         b = block_of(mu, 9)
         assert b.core == core and b.weight == 3
-        blocks, chain = scopes_chain_blocks(b)
-        a, k = chain[-1]
-        pair = ScopesPair(block=blocks[-2], tilde=b, a=a, k=k)
+        pair = _pair_into(b, a, 1)
         fams = hook_quotient_families(pair)
         z = z_label(mu, 9)
         for fam in fams:
