@@ -2,7 +2,7 @@
 
 The ladder monomial A(mu) is a product of divided powers F^(m) applied to
 the empty partition, and each of its terms lies in the block of mu.  The
-fold keeps the terms as packed beta-sets (see `fock`) and, after each step,
+fold keeps the terms as packed beta-sets (see `abacus`) and, after each step,
 drops the terms that can no longer reach a member of the block: an F-step
 moves one bead one position up, so the number of beads above a threshold
 never falls and rises by at most one per cell still to be added.
@@ -10,7 +10,8 @@ never falls and rises by at most one per cell still to be added.
 
 from __future__ import annotations
 
-from .fock import mask_of, step_F, unpack
+from .abacus import mask_of
+from .fock import step_F, unpack
 from .partitions import EMPTY
 
 

@@ -1,35 +1,86 @@
 """James's abacus: beta-sets, cores, quotients, crystal and Weyl operators.
 
-An abacus is a normalized finite window over the infinite beta-set
-{lambda_i - i} of a partition, with runner structure for a fixed e.
-Positions increase downward; every position below `base` is occupied and
-`base` itself is the least unoccupied position.
+A beta-set {lambda_i - i} is packed into an integer over an offset lo: bit
+p is the bead at position lo + p, and every position below lo is occupied.
+This module owns that format (`mask_of`, `partition_of_mask` and the bit
+helpers); `fock` steps the same masks.  An `Abacus` is a packed beta-set on
+e runners normalized so that lo is `base`, the least unoccupied position.
+Positions increase downward.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .partitions import EMPTY, Partition
 
 
+# -- packed beta-sets -------------------------------------------------------
+
+
+def mask_of(lam, lo):
+    """Packed beta-set of lam over offset lo (requires lo <= -len(lam))."""
+    parts = lam.parts
+    m = (1 << (-lo - len(parts))) - 1
+    for i, p in enumerate(parts, start=1):
+        m |= 1 << (p - i - lo)
+    return m
+
+
+def partition_of_mask(m):
+    """The partition whose packed beta-set (over any offset) is m: each bead
+    is a part equal to the number of gaps below it."""
+    parts = [g for g in accumulate(map(len, bin(m)[:1:-1].split("1")[:-1])) if g]
+    parts.reverse()
+    return Partition(parts)
+
+
+def _bits(m):
+    """Indices of the set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _addable(m):
+    """Beads whose upper neighbour is empty."""
+    return m & ~(m >> 1)
+
+
+def _removable(m):
+    """Beads whose lower neighbour is empty (below bit 0 all is occupied)."""
+    return m & ~((m << 1) | 1)
+
+
+def _runner(r, e, lo, width):
+    """Bits below width whose position lo + p lies on runner r mod e."""
+    p = (r - lo) % e
+    n = (width - p + e - 1) // e if width > p else 0
+    # n bits e apart: the base-2^e repunit (2^(e n) - 1) / (2^e - 1)
+    return ((1 << (e * n)) - 1) // ((1 << e) - 1) << p
+
+
 class Abacus:
-    """Occupied-position window of a beta-set on e runners."""
+    """A packed beta-set on e runners: bit p of mask is position base + p."""
 
-    __slots__ = ("e", "base", "window", "_runners", "_wset")
+    __slots__ = ("e", "base", "mask", "_runners")
 
-    def __init__(self, e, base, window):
+    def __init__(self, e, base, mask):
         if e < 2:
             raise ValueError("e must be at least 2")
-        window = tuple(sorted(set(int(x) for x in window)))
-        if window and window[0] <= base:
-            raise ValueError("window positions must lie above base")
+        if mask < 0:
+            raise ValueError("mask must be nonnegative")
+        ones = (mask ^ (mask + 1)).bit_length() - 1  # beads filling up from base
         object.__setattr__(self, "e", e)
-        object.__setattr__(self, "base", int(base))
-        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "base", base + ones)
+        object.__setattr__(self, "mask", mask >> ones)
         object.__setattr__(self, "_runners", None)
-        object.__setattr__(self, "_wset", frozenset(window))
 
     def __setattr__(self, name, value):
         raise AttributeError("Abacus is immutable")
@@ -39,31 +90,27 @@ class Abacus:
             isinstance(other, Abacus)
             and self.e == other.e
             and self.base == other.base
-            and self.window == other.window
+            and self.mask == other.mask
         )
 
     def __hash__(self):
-        return hash((self.e, self.base, self.window))
+        return hash((self.e, self.base, self.mask))
 
     def __repr__(self):
-        return "Abacus(e=%d, base=%d, window=%r)" % (self.e, self.base, self.window)
+        return "Abacus(e=%d, base=%d, mask=%#x)" % (self.e, self.base, self.mask)
 
     # -- basic queries ----------------------------------------------------
 
-    def occupied(self, x):
-        return x < self.base or x in self._wset
+    @property
+    def window(self):
+        """Occupied positions >= base, ascending."""
+        return tuple(self.base + p for p in _bits(self.mask))
 
-    def _window_set(self):
-        return set(self.window)
+    def occupied(self, x):
+        return x < self.base or bool(self.mask >> (x - self.base) & 1)
 
     def max_occupied(self):
-        return self.window[-1] if self.window else self.base - 1
-
-    def top(self):
-        return self.max_occupied() + 1
-
-    def runner(self, x):
-        return x % self.e
+        return self.base + self.mask.bit_length() - 1
 
     def runner_positions(self, r):
         """Occupied positions >= base on runner r, ascending."""
@@ -92,9 +139,7 @@ class Abacus:
         s = self.first_slot(r)
         if b < s:
             return 0
-        slots = (b - s) // self.e
-        occ_below = sum(1 for x in self.runner_positions(r) if x < b)
-        return slots - occ_below
+        return (b - s) // self.e - bisect_left(self.runner_positions(r), b)
 
     def prev_gap(self, x):
         """Greatest unoccupied position below x on its runner."""
@@ -111,12 +156,11 @@ class Abacus:
     def from_occupied(e, occupied, low):
         """Build from the occupied set restricted to [low, inf); every
         position below low must be occupied."""
-        occ = set(occupied)
-        base = low
-        while base in occ:
-            occ.discard(base)
-            base += 1
-        return Abacus(e, base, (x for x in occ if x > base))
+        m = 0
+        for x in occupied:
+            if x >= low:
+                m |= 1 << (x - low)
+        return Abacus(e, low, m)
 
     def move_bead(self, x, y):
         """Slide the bead at x to the unoccupied position y."""
@@ -131,21 +175,20 @@ class Abacus:
             if self.occupied(y):
                 raise ValueError("position %d already occupied" % y)
             low = min(low, x, y)
-        low -= 1
-        occ = self._window_set()
-        occ.update(range(low, self.base))
-        occ.difference_update(x for x, _ in moves)
-        occ.update(y for _, y in moves)
-        return Abacus.from_occupied(self.e, occ, low)
+        pad = self.base - low
+        m = (self.mask << pad) | ((1 << pad) - 1)
+        for x, y in moves:
+            m ^= (1 << (x - low)) | (1 << (y - low))
+        return Abacus(self.e, low, m)
 
     def shift(self, c):
         """Add c to every position (charge shift)."""
-        return Abacus(self.e, self.base + c, (x + c for x in self.window))
+        return Abacus(self.e, self.base + c, self.mask)
 
     def to_string(self):
         """Debug dump: rows of e positions, filled/empty dots."""
         lo = self.base - (self.base % self.e) - self.e
-        hi = self.top() + self.e
+        hi = self.max_occupied() + 1 + self.e
         rows = []
         for start in range(lo, hi, self.e):
             rows.append(" ".join("●" if self.occupied(start + j) else "·" for j in range(self.e)))
@@ -154,18 +197,13 @@ class Abacus:
 
 def abacus_of(lam, e):
     """The abacus of beta(lambda) = {lambda_i - i}."""
-    ell = len(lam.parts)
-    window = tuple(p - i for i, p in enumerate(lam.parts, start=1))
-    return Abacus(e, -ell, window)
+    lo = -len(lam.parts)
+    return Abacus(e, lo, mask_of(lam, lo))
 
 
 def partition_of(a):
     """Recover the partition from an abacus."""
-    parts = []
-    for idx, x in enumerate(a.window):
-        parts.append((x - a.base) - idx)
-    parts.reverse()
-    return Partition(parts)
+    return partition_of_mask(a.mask)
 
 
 def _core_tops(a):
@@ -174,7 +212,26 @@ def _core_tops(a):
     return [a.first_slot(r) + (len(a.runner_positions(r)) - 1) * e for r in range(e)]
 
 
-def _cqw_from_abacus(a):
+def _core_from_tops(tops, e):
+    """The e-core whose runner r ends at position tops[r]."""
+    lo = min(tops) - e + 1
+    m = 0
+    for r, x in enumerate(tops):
+        m |= _runner(r, e, lo, x - lo + 1)
+    return partition_of_mask(m)
+
+
+@lru_cache(maxsize=None)
+def _cqw_cached(parts, e):
+    return core_quotient_weight(abacus_of(Partition(parts), e))
+
+
+def core_quotient_weight(a):
+    """(e-core, e-quotient, e-weight) read off the given abacus display.
+
+    The quotient components depend on the display's charge; the core and
+    weight do not.
+    """
     e = a.e
     quot = []
     weight = 0
@@ -189,28 +246,7 @@ def _cqw_from_abacus(a):
         quot.append(Partition(parts) if parts else EMPTY)
     if weight == 0:
         return partition_of(a), tuple(quot), 0  # a is a core display
-    tops = _core_tops(a)
-    lo = min(tops) - e
-    occ = set()
-    for r in range(e):
-        occ.update(range(tops[r], lo - 1, -e))
-    core = partition_of(Abacus.from_occupied(e, occ, lo))
-    return core, tuple(quot), weight
-
-
-@lru_cache(maxsize=None)
-def _cqw_cached(parts, e):
-    a = Abacus(e, -len(parts), tuple(p - i for i, p in enumerate(parts, start=1)))
-    return _cqw_from_abacus(a)
-
-
-def core_quotient_weight(a):
-    """(e-core, e-quotient, e-weight) read off the given abacus display.
-
-    The quotient components depend on the display's charge; the core and
-    weight do not.
-    """
-    return _cqw_from_abacus(a)
+    return _core_from_tops(_core_tops(a), e), tuple(quot), weight
 
 
 def core_of(lam, e):
@@ -264,12 +300,7 @@ def core_levels(core, e):
 
 def core_from_levels(levels, e):
     """The core whose runner r ends at position r + e*levels[r]."""
-    lo = (min(levels) - 1) * e - e
-    occ = set()
-    for r in range(e):
-        m_r = r + levels[r] * e
-        occ.update(range(m_r, lo - 1, -e))
-    return partition_of(Abacus.from_occupied(e, occ, lo))
+    return _core_from_tops([r + e * lv for r, lv in enumerate(levels)], e)
 
 
 def _compositions(total, nparts):
@@ -325,36 +356,26 @@ def enumerate_block(b):
 # -- crystal operators ----------------------------------------------------
 
 
-def _signature(a, i):
-    """Slots of residue i: (position, kind) with kind 'R' (removable bead at
-    the slot) or 'A' (addable bead at slot-1), in increasing position order."""
-    e = a.e
-    lo = a.base + ((i - a.base) % e)
-    hi = a.max_occupied() + e + 1
-    out = []
-    for t in range(lo, hi + 1, e):
-        t_occ = a.occupied(t)
-        p_occ = a.occupied(t - 1)
-        if t_occ and not p_occ:
-            out.append((t, "R"))
-        elif not t_occ and p_occ:
-            out.append((t, "A"))
-    return out
-
-
 def _matched_signature(a, i):
-    """Unmatched slots after cancelling each addable against the nearest
-    unmatched removable above it."""
+    """(normal beads, conormal slots) of residue i, top to bottom.
+
+    A slot t of residue i holds a removable bead or follows an addable bead
+    at t - 1; in increasing position order each addable slot cancels the
+    nearest unmatched removable bead above it.
+    """
+    m = a.mask
+    rem = _removable(m)
+    add = (_addable(m) << 1) | 1  # the bead at base - 1 is addable too
     stack = []
-    unmatched_A = []
-    for t, kind in _signature(a, i):
-        if kind == "R":
-            stack.append(t)
+    unmatched = []
+    for p in _bits((rem | add) & _runner(i, a.e, a.base, m.bit_length() + 1)):
+        if rem >> p & 1:
+            stack.append(a.base + p)
         elif stack:
             stack.pop()
         else:
-            unmatched_A.append(t)
-    return stack, unmatched_A
+            unmatched.append(a.base + p)
+    return stack, unmatched
 
 
 def normal_beads(a, i):

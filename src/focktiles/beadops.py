@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .abacus import abacus_of, block_of, partition_of, crystal_E, crystal_F, normal_beads
+from .abacus import abacus_of, block_of, conormal_slots, normal_beads, partition_of
 from .labels import (
     is_hook_quotient,
     is_m_increasing,
@@ -205,35 +203,42 @@ def _mull_residue(i, e):
     return (-i) % e
 
 
-@lru_cache(maxsize=None)
-def _mullineux_cached(parts, e):
-    lam = Partition(parts)
-    if not lam.parts:
-        return ()
+_mullineux_images = {}  # (parts, e) -> parts of the image
+
+
+def _mullineux(lam, e):
+    """Peel the first nonempty crystal string off lam until a partition with
+    a known image is left (the empty one at worst), then rebuild the image
+    string by string with the twisted residues, caching the image of every
+    partition peeled."""
+    peeled = []  # (parts, residue, string length), outermost first
     a = abacus_of(lam, e)
-    for i in range(e):
-        normals = normal_beads(a, i)
-        if normals:
-            m = len(normals)
-            down = a
-            for _ in range(m):
-                down = crystal_E(down, i)
-            inner = Partition(_mullineux_cached(partition_of(down).parts, e))
-            up = abacus_of(inner, e)
-            j = _mull_residue(i, e)
-            for _ in range(m):
-                up = crystal_F(up, j)
-                if up is None:
-                    raise AssertionError("Mullineux recursion lost a crystal string")
-            return partition_of(up).parts
-    raise AssertionError("nonempty partition with no normal beads")
+    parts = lam.parts
+    while parts and (parts, e) not in _mullineux_images:
+        for i in range(e):
+            normals = normal_beads(a, i)
+            if normals:
+                break
+        else:
+            raise AssertionError("nonempty partition with no normal beads")
+        peeled.append((parts, i, len(normals)))
+        a = a.move_beads([(x, x - 1) for x in normals])
+        parts = partition_of(a).parts
+    up = abacus_of(Partition(_mullineux_images.get((parts, e), ())), e)
+    for parts, i, m in reversed(peeled):
+        slots = conormal_slots(up, _mull_residue(i, e))
+        if len(slots) < m:
+            raise AssertionError("Mullineux recursion lost a crystal string")
+        up = up.move_beads([(t - 1, t) for t in slots[len(slots) - m :]])
+        _mullineux_images[(parts, e)] = partition_of(up).parts
+    return partition_of(up)
 
 
 def mullineux_crystal(lam, e):
     """The Mullineux-Kleshchev involution via the crystal recursion."""
     if not is_e_regular(lam, e):
         raise ValueError("the Mullineux map is defined on e-regular partitions")
-    return Partition(_mullineux_cached(lam.parts, e))
+    return _mullineux(lam, e)
 
 
 def mullineux_fast(lam, e, want_trace=False):

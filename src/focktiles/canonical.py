@@ -409,17 +409,15 @@ def exceptional_family(gen, pair):
             "generator has %d addable beads on runner a-1, expected %d"
             % (len(C), k + 2)
         )
-    quot = core_quotient_weight(abacus_of(gen, e))[1]
+    aba = abacus_of(gen, e)
+    quot = core_quotient_weight(aba)[1]
     if any(q.part(2) > 1 for q in quot):
         return None
     if len(quot[(a - 1) % e].parts) > 1:
         return None
     if quot[a % e].part(1) > 1:
         return None
-    aba = abacus_of(gen, e)
-    hat_ab = aba
-    for c in C:
-        hat_ab = hat_ab.move_bead(c, c + 1)
+    hat_ab = aba.move_beads([(c, c + 1) for c in C])
     hat = partition_of(hat_ab)
     lower = tuple(
         partition_of(hat_ab.move_bead(C[j] + 1, C[j])) for j in range(k + 2)

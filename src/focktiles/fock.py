@@ -1,16 +1,17 @@
 """Fock-space vectors and the divided-power operators E_i^(k), F_i^(k).
 
-The operators act on packed beta-sets.  Bit p of a mask is the bead at
-position lo + p of the charge-0 abacus of a partition (the beads are
-lam_i - i for i >= 1); every position below lo is occupied.  A step adds or
-removes at most one row, so an offset lo <= -(rows + 2) leaves room for it.
-Packed terms are dicts {mask: {exponent: int}}.
+The operators act on the packed beta-sets of `abacus` (`mask_of`): bit p of
+a mask is the bead at position lo + p of the charge-0 abacus of a partition,
+and every position below lo is occupied.  A step adds or removes at most one
+row, so an offset lo <= -(rows + 2) leaves room for it.  Packed terms are
+dicts {mask: {exponent: int}}.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from .abacus import _addable, _bits, _removable, _runner, mask_of, partition_of_mask
 from .laurent import LaurentPoly
 from .partitions import Partition
 
@@ -90,57 +91,6 @@ class FockVector:
 def pairing(v, lam):
     """Coefficient extraction <v, lam> for the orthonormal partition basis."""
     return v.coeff(lam)
-
-
-def mask_of(lam, lo):
-    """Packed beta-set of lam over offset lo (requires lo <= -len(lam))."""
-    parts = lam.parts
-    m = (1 << (-lo - len(parts))) - 1
-    for i, p in enumerate(parts, start=1):
-        m |= 1 << (p - i - lo)
-    return m
-
-
-def partition_of(m, lo):
-    """The partition whose packed beta-set over offset lo is m."""
-    parts = []
-    below = 0  # beads below the current one
-    while m:
-        low = m & -m
-        p = low.bit_length() - 1 - below
-        if p:
-            parts.append(p)
-        m ^= low
-        below += 1
-    parts.reverse()
-    return Partition(parts)
-
-
-def _bits(m):
-    out = []
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return out
-
-
-def _addable(m):
-    """Beads whose upper neighbour is empty."""
-    return m & ~(m >> 1)
-
-
-def _removable(m):
-    """Beads whose lower neighbour is empty (below bit 0 all is occupied)."""
-    return m & ~((m << 1) | 1)
-
-
-def _runner(r, e, lo, width):
-    """Bits below width whose position lo + p lies on runner r mod e."""
-    m = 0
-    for p in range((r - lo) % e, width, e):
-        m |= 1 << p
-    return m
 
 
 def _accumulate(out, m, coef, n):
@@ -230,7 +180,7 @@ def pack(v):
 
 def unpack(vec, lo):
     """The Fock vector of packed terms over offset lo."""
-    return FockVector({partition_of(m, lo): LaurentPoly(c) for m, c in vec.items()})
+    return FockVector({partition_of_mask(m): LaurentPoly(c) for m, c in vec.items()})
 
 
 def _beads(lam, r, e, select):

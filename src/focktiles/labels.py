@@ -29,6 +29,20 @@ def _movements_cached(parts, e):
     return tuple(BeadMovement(b=b, q=q, index=r + 1) for r, (q, b) in enumerate(raw))
 
 
+@lru_cache(maxsize=None)
+def _chains_cached(parts, e):
+    """{runner: (idx, l)}: each runner's movement indices and the position in
+    idx of the first movement of its bottom bead."""
+    mvs = _movements_cached(parts, e)
+    out = {}
+    for runner in range(e):
+        idx = tuple(mv.index for mv in mvs if mv.q % e == runner)
+        if idx:
+            bottom = mvs[idx[-1] - 1].b
+            out[runner] = (idx, next(s for s, i in enumerate(idx) if mvs[i - 1].b == bottom))
+    return out
+
+
 def movements(lam, e):
     """The bead movements of lam, in the total order (by q, then b)."""
     return _movements_cached(lam.parts, e)
@@ -161,16 +175,10 @@ def _modified_cached(parts, e):
     lam = Partition(parts)
     if not is_hook_quotient(lam, e):
         raise ValueError("modified basis needs a hook-quotient partition")
-    mvs = _movements_cached(parts, e)
-    w = len(mvs)
+    w = len(_movements_cached(parts, e))
     plain = [None] * w
     lifted = [None] * w
-    for runner in range(e):
-        idx = [mv.index for mv in mvs if mv.q % e == runner]
-        if not idx:
-            continue
-        bottom = mvs[idx[-1] - 1].b
-        l = min(s for s in range(len(idx)) if mvs[idx[s] - 1].b == bottom)
+    for idx, l in _chains_cached(parts, e).values():
         for g, i in enumerate(idx):
             if g < l:
                 j = idx[g + 1]
@@ -200,10 +208,8 @@ def succ_geq(lam, e, i, j):
         raise ValueError("the order is defined for hook-quotient partitions")
     if mvs[i - 1].b % e != mvs[j - 1].b % e:
         return False
-    runner = mvs[i - 1].q % e
-    idx = [mv.index for mv in mvs if mv.q % e == runner]
-    bottom = mvs[idx[-1] - 1].b
-    m = idx[min(s for s in range(len(idx)) if mvs[idx[s] - 1].b == bottom)]
+    idx, l = _chains_cached(lam.parts, e)[mvs[i - 1].q % e]
+    m = idx[l]
     return (i >= j >= m) or (i <= j <= m)
 
 

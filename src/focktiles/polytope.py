@@ -9,6 +9,7 @@ from .abacus import block_of
 from .labels import (
     BlockContext,
     HatVec,
+    _chains_cached,
     hat_z,
     is_hook_quotient,
     is_m_increasing,
@@ -90,15 +91,8 @@ def expand_in_basis(lam, e, vector):
     The basis telescopes along each runner chain, so coefficients are
     prefix / suffix sums; exactness is automatic.
     """
-    mvs = movements(lam, e)
-    w = len(mvs)
-    coeffs = [0] * w
-    for runner in range(e):
-        idx = [mv.index for mv in mvs if mv.q % e == runner]
-        if not idx:
-            continue
-        bottom = mvs[idx[-1] - 1].b
-        l = min(s for s in range(len(idx)) if mvs[idx[s] - 1].b == bottom)
+    coeffs = [0] * len(movements(lam, e))
+    for idx, l in _chains_cached(lam.parts, e).values():
         vals = [vector[i - 1] for i in idx]
         for g in range(l):
             coeffs[idx[g] - 1] = sum(vals[: g + 1])
@@ -126,6 +120,30 @@ def pi_membership(lam, target, e):
     return frozenset(i + 1 for i, c in enumerate(coeffs) if c)
 
 
+def _cube_value(lam, mu, e, gamma):
+    """The hypercube route: q^|zhat(mu) - zhat(lam)| when zhat(mu) is a
+    vertex of C(lam), else 0.  gamma, the parallelotope answer, is tried
+    first; otherwise all 2^w vertices are searched."""
+    zl, zm = hat_z(lam, e), hat_z(mu, e)
+    cube = hypercube_of(lam, e)
+    w = len(cube.generators)
+    if gamma is not None and cube.vertex(sorted(gamma)) == zm:
+        return LaurentPoly.monomial((zm - zl).norm())
+    for mask in range(1 << w):
+        if cube.vertex([i + 1 for i in range(w) if mask >> i & 1]) == zm:
+            return LaurentPoly.monomial((zm - zl).norm())
+    return LaurentPoly.zero()
+
+
+def _pi_route(lam, mu, e):
+    """(Gamma, q^|Gamma|) of the parallelotope route for hook-quotient lam
+    in the block of mu; (None, 0) when z(mu) is not a vertex of Pi(lam)."""
+    gamma = pi_membership(lam, z_label(mu, e), e)
+    if gamma is None:
+        return None, LaurentPoly.zero()
+    return gamma, LaurentPoly.monomial(len(gamma))
+
+
 def d_closed_detail(lam, mu, e):
     """Both routes of the closed formula, plus the hypothesis status."""
     out = {
@@ -136,24 +154,9 @@ def d_closed_detail(lam, mu, e):
         "pi_value": LaurentPoly.zero(),
         "cube_value": LaurentPoly.zero(),
     }
-    if not out["same_block"] or not out["hook_quotient"]:
-        return out
-    gamma = pi_membership(lam, z_label(mu, e), e)
-    out["gamma"] = gamma
-    if gamma is not None:
-        out["pi_value"] = LaurentPoly.monomial(len(gamma))
-    zl, zm = hat_z(lam, e), hat_z(mu, e)
-    cube = hypercube_of(lam, e)
-    w = len(cube.generators)
-    if gamma is not None and cube.vertex(sorted(gamma)) == zm:
-        out["cube_value"] = LaurentPoly.monomial((zm - zl).norm())
-    else:
-        # search all vertices (only needed off the 4-increasing regime)
-        for mask in range(1 << w):
-            g = [i + 1 for i in range(w) if mask >> i & 1]
-            if cube.vertex(g) == zm:
-                out["cube_value"] = LaurentPoly.monomial((zm - zl).norm())
-                break
+    if out["same_block"] and out["hook_quotient"]:
+        out["gamma"], out["pi_value"] = _pi_route(lam, mu, e)
+        out["cube_value"] = _cube_value(lam, mu, e, out["gamma"])
     return out
 
 
@@ -161,19 +164,17 @@ def d_closed(lam, mu, e):
     """q^{d_lambda(mu)} if lam is hook-quotient and z(mu) in Pi(lam), else 0.
 
     Valid as a q-decomposition number when mu is 4-increasing, in which case
-    the parallelotope and hypercube routes provably agree (and the agreement
-    is asserted here).
+    the parallelotope and hypercube routes provably agree; only there is the
+    hypercube route run, and the agreement asserted.
     """
-    if block_of(lam, e) != block_of(mu, e):
+    if block_of(lam, e) != block_of(mu, e) or not is_hook_quotient(lam, e):
         return LaurentPoly.zero()
-    if not is_hook_quotient(lam, e):
-        return LaurentPoly.zero()
-    detail = d_closed_detail(lam, mu, e)
-    if detail["mu_4_increasing"] and detail["pi_value"] != detail["cube_value"]:
+    gamma, value = _pi_route(lam, mu, e)
+    if is_m_increasing(z_label(mu, e), 4) and _cube_value(lam, mu, e, gamma) != value:
         raise AssertionError(
             "parallelotope and hypercube routes disagree on a 4-increasing column"
         )
-    return detail["pi_value"]
+    return value
 
 
 @dataclass

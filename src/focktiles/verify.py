@@ -32,6 +32,7 @@ from .canonical import (
     ladder_sequence,
     llt_G,
     lr_coefficient,
+    rouquier_column,
     rouquier_d,
 )
 from .fock import FockVector, apply_E, apply_F, pairing
@@ -307,9 +308,10 @@ def ac4(llt_limit=None):
         for mu in mus:
             reg = is_e_regular(mu, e)
             G = llt_G(mu, e, ctx) if reg and (e, w) in llt_ok else None
+            # each entry of the column is checked against the hook reduction
+            col = rouquier_column(mu, b, ctx)
             for lam in ctx.members():
-                # rouquier_d internally asserts (LM) == hook reduction here
-                v = rouquier_d(lam, mu, b)
+                v = col.coeff(lam)
                 if v != d_closed(lam, mu, e):
                     return False, "rouquier vs closed at %s, %s in %r" % (lam, mu, b)
                 if G is not None and v != G.coeff(lam):

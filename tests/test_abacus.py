@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from focktiles.partitions import EMPTY, Partition, all_partitions, conjugate, parse_partition
 from focktiles.abacus import (
+    Abacus,
     BlockId,
     abacus_of,
     add_full_runner,
@@ -79,6 +80,95 @@ def test_abacus_examples():
     assert sorted(x for x in range(-3, 7) if a.occupied(x)) == [0, 1, 4]
     dump = a.to_string()
     assert "●" in dump and "·" in dump
+
+
+class _BeadSet:
+    """Plain model of a beta-set: every position below low is occupied, and
+    so are exactly the positions of occ at or above low."""
+
+    def __init__(self, e, occ, low):
+        self.e, self.low = e, low
+        self.occ = {x for x in occ if x >= low}
+
+    def occupied(self, x):
+        return x < self.low or x in self.occ
+
+    def base(self):
+        x = self.low
+        while x in self.occ:
+            x += 1
+        return x
+
+    def runner_positions(self, r):
+        return tuple(sorted(x for x in self.occ if x >= self.base() and x % self.e == r % self.e))
+
+    def runner_max(self, r):
+        below = self.low - 1 - (self.low - 1 - r) % self.e
+        return max([below] + [x for x in self.occ if x % self.e == r % self.e])
+
+    def weight_of(self, b):
+        return sum(1 for t in range(b - self.e, self.low - 1, -self.e) if not self.occupied(t))
+
+    def prev_gap(self, x):
+        for t in range(x - self.e, self.low - 1, -self.e):
+            if not self.occupied(t):
+                return t
+        return None
+
+    def parts(self):
+        return sorted((sum(1 for t in range(self.low, x) if t not in self.occ) for x in self.occ),
+                      reverse=True)
+
+
+@st.composite
+def _bead_sets(draw):
+    e = draw(st.integers(2, 6))
+    low = draw(st.integers(-20, 5))
+    occ = draw(st.sets(st.integers(0, 40))).union(range(draw(st.integers(0, 4))))
+    return _BeadSet(e, {low + x for x in occ}, low)
+
+
+@given(_bead_sets(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_abacus_matches_bead_set_model(model, data):
+    e, low = model.e, model.low
+    a = Abacus.from_occupied(e, model.occ, low)
+    span = range(low - 2 * e, low + 45 + 2 * e)
+    assert a.base == model.base()
+    assert a.window == tuple(sorted(x for x in model.occ if x >= a.base))
+    assert all(a.occupied(x) == model.occupied(x) for x in span)
+    assert a.max_occupied() == max(model.occ | {low - 1})
+    assert partition_of(a) == Partition(model.parts())
+    for r in range(e):
+        assert a.runner_positions(r) == model.runner_positions(r)
+        assert a.runner_max(r) == model.runner_max(r)
+    for x in span:
+        if model.occupied(x) and x >= low:
+            assert a.weight_of(x) == model.weight_of(x)
+        gap = model.prev_gap(x)
+        if gap is None:
+            with pytest.raises(ValueError):
+                a.prev_gap(x)
+        else:
+            assert a.prev_gap(x) == gap
+    # the same beta-set over a lower offset normalizes to the same abacus
+    d = data.draw(st.integers(1, 12))
+    b = Abacus.from_occupied(e, model.occ | set(range(low - d, low)), low - d)
+    assert b == a and hash(b) == hash(a)
+    c = data.draw(st.integers(-7, 7))
+    shifted = Abacus.from_occupied(e, {x + c for x in model.occ}, low + c)
+    assert a.shift(c) == shifted and hash(a.shift(c)) == hash(shifted)
+    # simultaneous moves: beads to gaps, anywhere in the span
+    beads = [x for x in span if model.occupied(x)]
+    gaps = [x for x in span if not model.occupied(x)]
+    k = data.draw(st.integers(1, 3))
+    xs = data.draw(st.lists(st.sampled_from(beads), min_size=k, max_size=k, unique=True))
+    ys = data.draw(st.lists(st.sampled_from(gaps), min_size=k, max_size=k, unique=True))
+    lower = span[0]
+    moved = (model.occ | set(range(lower, low))) - set(xs) | set(ys)
+    assert a.move_beads(list(zip(xs, ys))) == Abacus.from_occupied(e, moved, lower)
+    with pytest.raises(ValueError):
+        a.move_beads([(ys[0], xs[0])])
 
 
 def test_enumerate_block_counts():

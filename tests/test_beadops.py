@@ -228,6 +228,15 @@ def test_mullineux_crystal_properties():
                 assert weight_of(m, e) == weight_of(lam, e)
 
 
+def test_mullineux_long_crystal_strings():
+    # (600) peels off hundreds of crystal strings before it reaches the empty
+    # partition, more than the interpreter's recursion limit allows
+    lam = Partition((600,))
+    m = mullineux_crystal(lam, 3)
+    assert is_e_regular(m, 3) and m.size == 600
+    assert mullineux_crystal(m, 3) == lam
+
+
 def test_mullineux_label_symmetry():
     for n in range(0, 15):
         for lam in all_partitions(n):

@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import subprocess
 import sys
 
 from focktiles.cli import run
@@ -101,6 +103,21 @@ def test_exit_codes():
     assert code == 1 and out == "" and err.startswith("error:")
     code, out, err = _capture(["gcolumn", "--e", "4", "--method", "closed", "8"])
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_long_mullineux_query():
+    code, out, _ = _capture(["mullineux", "--e", "3", "600"])
+    assert code == 0 and out.startswith("[")
+
+
+def test_python_m_entry_point():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "focktiles", "core", "--e", "2", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0 and proc.stdout.strip() == "[1]"
 
 
 def test_json_flag():
