@@ -57,7 +57,7 @@ def ladder_fold(sequence, e, win):
         remaining -= mult
         vec = step_F(vec, res, mult, e, lo)
         vec = {m: c for m, c in vec.items() if win.alive(m, remaining)}
-    return unpack(vec, lo)
+    return unpack(vec)
 
 
 def block_ladder_monomials(sequences, e, members):

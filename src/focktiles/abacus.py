@@ -6,14 +6,18 @@ This module owns that format (`mask_of`, `partition_of_mask` and the bit
 helpers); `fock` steps the same masks.  An `Abacus` is a packed beta-set on
 e runners normalized so that lo is `base`, the least unoccupied position.
 Positions increase downward.
+
+A runner is a strided slice of the mask: with s the bits lowest first, runner
+r is s[p::e] for p = (r - base) mod e, and that slice is itself the packed
+beta-set of the r-th quotient component.  Runners are read by slicing
+(`Abacus.runner_slices`) and written by interleaving (`_interleave`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 
 from .partitions import EMPTY, Partition
 
@@ -31,11 +35,23 @@ def mask_of(lam, lo):
 
 
 def partition_of_mask(m):
-    """The partition whose packed beta-set (over any offset) is m: each bead
-    is a part equal to the number of gaps below it."""
-    parts = [g for g in accumulate(map(len, bin(m)[:1:-1].split("1")[:-1])) if g]
+    """The partition whose packed beta-set (over any offset) is m."""
+    return _partition_of_bits(bin(m)[:1:-1])
+
+
+def _partition_of_bits(s):
+    """The partition whose packed beta-set has the bit string s, lowest bit
+    first: each bead is a part equal to the number of gaps below it."""
+    parts = [g for g in accumulate(map(len, s.split("1")[:-1])) if g]
     parts.reverse()
-    return Partition(parts)
+    return Partition(parts) if parts else EMPTY
+
+
+def _interleave(runners):
+    """The bit string whose slice [r::e] is runners[r], for e = len(runners);
+    every runner is padded with gaps to the longest."""
+    width = max(map(len, runners))
+    return "".join(map("".join, zip(*[t.ljust(width, "0") for t in runners])))
 
 
 def _bits(m):
@@ -69,7 +85,7 @@ def _runner(r, e, lo, width):
 class Abacus:
     """A packed beta-set on e runners: bit p of mask is position base + p."""
 
-    __slots__ = ("e", "base", "mask", "_runners")
+    __slots__ = ("e", "base", "mask")
 
     def __init__(self, e, base, mask):
         if e < 2:
@@ -80,7 +96,6 @@ class Abacus:
         object.__setattr__(self, "e", e)
         object.__setattr__(self, "base", base + ones)
         object.__setattr__(self, "mask", mask >> ones)
-        object.__setattr__(self, "_runners", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Abacus is immutable")
@@ -112,14 +127,14 @@ class Abacus:
     def max_occupied(self):
         return self.base + self.mask.bit_length() - 1
 
-    def runner_positions(self, r):
-        """Occupied positions >= base on runner r, ascending."""
-        if self._runners is None:
-            data = [[] for _ in range(self.e)]
-            for x in self.window:
-                data[x % self.e].append(x)
-            object.__setattr__(self, "_runners", tuple(tuple(v) for v in data))
-        return self._runners[r % self.e]
+    def runner_slices(self):
+        """(first slot, bits) of each runner r = 0, ..., e-1: bits is the slice
+        s[p::e] of the mask's bits s (lowest first), p = (r - base) mod e, so
+        its j-th bit is position first + j*e.  It is the packed beta-set of
+        the r-th quotient component in this display's charge."""
+        e, base = self.e, self.base
+        s = bin(self.mask)[:1:-1]
+        return [(base + p, s[p::e]) for p in ((r - base) % e for r in range(e))]
 
     def first_slot(self, r):
         """Least position >= base congruent to r mod e."""
@@ -127,28 +142,23 @@ class Abacus:
 
     def runner_max(self, r):
         """Greatest occupied position on runner r."""
-        occ = self.runner_positions(r)
-        if occ:
-            return occ[-1]
-        s = self.first_slot(r)
-        return s - self.e
+        m = self.mask & _runner(r, self.e, self.base, self.mask.bit_length())
+        return self.base + m.bit_length() - 1 if m else self.first_slot(r) - self.e
 
     def weight_of(self, b):
         """Number of unoccupied positions above b on its runner."""
-        r = b % self.e
-        s = self.first_slot(r)
+        s = self.first_slot(b)
         if b < s:
             return 0
-        return (b - s) // self.e - bisect_left(self.runner_positions(r), b)
+        beads = self.mask & _runner(b, self.e, self.base, b - self.base)  # those above b
+        return (b - s) // self.e - beads.bit_count()
 
     def prev_gap(self, x):
         """Greatest unoccupied position below x on its runner."""
-        t = x - self.e
-        while t >= self.base:
-            if not self.occupied(t):
-                return t
-            t -= self.e
-        raise ValueError("no gap below %d on its runner" % x)
+        gaps = ~self.mask & _runner(x, self.e, self.base, x - self.base)
+        if not gaps:
+            raise ValueError("no gap below %d on its runner" % x)
+        return self.base + gaps.bit_length() - 1
 
     # -- construction helpers ---------------------------------------------
 
@@ -206,10 +216,10 @@ def partition_of(a):
     return partition_of_mask(a.mask)
 
 
-def _core_tops(a):
-    """Top-bead position of each runner of the e-core of a, in a's charge."""
-    e = a.e
-    return [a.first_slot(r) + (len(a.runner_positions(r)) - 1) * e for r in range(e)]
+def _core_tops(runners, e):
+    """Top-bead position of each runner of the e-core, in the charge of the
+    display whose `runner_slices` are given."""
+    return [first + (bits.count("1") - 1) * e for first, bits in runners]
 
 
 def _core_from_tops(tops, e):
@@ -232,21 +242,9 @@ def core_quotient_weight(a):
     The quotient components depend on the display's charge; the core and
     weight do not.
     """
-    e = a.e
-    quot = []
-    weight = 0
-    for r in range(e):
-        s = a.first_slot(r)
-        # the j-th bead from the bottom of the runner has j beads and
-        # (b - s) // e slots below it; its gap count is the difference
-        wts = [(b - s) // e - j for j, b in enumerate(a.runner_positions(r))]
-        wts.reverse()
-        weight += sum(wts)
-        parts = [w for w in wts if w]
-        quot.append(Partition(parts) if parts else EMPTY)
-    if weight == 0:
-        return partition_of(a), tuple(quot), 0  # a is a core display
-    return _core_from_tops(_core_tops(a), e), tuple(quot), weight
+    runners = a.runner_slices()
+    quot = tuple(_partition_of_bits(bits) for _, bits in runners)
+    return _core_from_tops(_core_tops(runners, a.e), a.e), quot, sum(q.size for q in quot)
 
 
 def core_of(lam, e):
@@ -294,8 +292,8 @@ def block_of(lam, e):
 
 def core_levels(core, e):
     """Runner levels (m_r - r)/e of a core, canonical charge."""
-    a = abacus_of(core, e)
-    return tuple((a.runner_max(r) - r) // e for r in range(e))
+    tops = _core_tops(abacus_of(core, e).runner_slices(), e)
+    return tuple((x - r) // e for r, x in enumerate(tops))
 
 
 def core_from_levels(levels, e):
@@ -314,41 +312,29 @@ def _compositions(total, nparts):
 
 def partition_from_quotient(b, quot):
     """Invert the e-quotient bijection inside the block b."""
-    e = b.e
-    a = abacus_of(b.core, e)
-    occ = set()
-    lo = a.base - e * (b.weight + 2) - e
-    for r in range(e):
-        m_r = a.runner_max(r)
-        nu = quot[r].parts
-        depth = max(len(nu) + 2, 1) + (m_r - lo) // e + 1
-        for j in range(1, depth):
-            nu_j = nu[j - 1] if j - 1 < len(nu) else 0
-            p = m_r + (nu_j - j + 1) * e
-            if p >= lo:
-                occ.add(p)
-    return partition_of(Abacus.from_occupied(e, occ, lo))
+    return _from_levels(core_levels(b.core, b.e), quot)
+
+
+def _from_levels(levels, quot):
+    """The partition whose runner r holds quot[r] below the top of a core
+    runner at level levels[r]: the beta-set of quot[r] in charge
+    levels[r] + 1, every runner starting at the common level k0."""
+    k0 = min(lv + 1 - len(nu.parts) for lv, nu in zip(levels, quot))
+    runners = [bin(mask_of(nu, k0 - lv - 1))[:1:-1] for lv, nu in zip(levels, quot)]
+    return _partition_of_bits(_interleave(runners))
 
 
 def enumerate_block(b):
     """All partitions with the block's e-core and e-weight."""
     from .partitions import all_partitions
 
-    out = []
-    parts_of = {n: all_partitions(n) for n in range(b.weight + 1)}
-    for comp in _compositions(b.weight, b.e):
-        choices = [parts_of[c] for c in comp]
-
-        def rec(i, acc):
-            if i == b.e:
-                out.append(partition_from_quotient(b, tuple(acc)))
-                return
-            for nu in choices[i]:
-                acc.append(nu)
-                rec(i + 1, acc)
-                acc.pop()
-
-        rec(0, [])
+    levels = core_levels(b.core, b.e)
+    parts_of = [all_partitions(n) for n in range(b.weight + 1)]
+    out = [
+        _from_levels(levels, quot)
+        for comp in _compositions(b.weight, b.e)
+        for quot in product(*[parts_of[c] for c in comp])
+    ]
     out.sort(key=lambda p: p.parts, reverse=True)
     return out
 
@@ -432,7 +418,7 @@ def weyl_s(a, i):
     """
     e = a.e
     i %= e
-    tops = _core_tops(a)
+    tops = _core_tops(a.runner_slices(), e)
     k = (tops[i] - tops[i - 1] - 1) // e
     if k == 0:
         return a
@@ -451,21 +437,15 @@ def add_full_runner(lam, e):
     """Embed lambda into a block on e+1 runners by adding a full runner.
 
     beta(lam+) contains r(e+1)+s, for s in [0,e], iff s < e and
-    (r+|lam|)e+s lies in beta(lam), or s = e and r < |lam|*e.
+    (r+|lam|)e+s lies in beta(lam), or s = e and r < |lam|*e: runner s < e
+    is runner s of lam lowered by |lam| levels, and runner e is full up to
+    level |lam|*e.
     """
     n = lam.size
-    beta = abacus_of(lam, e)
-    occ = set()
-    r_lo = -2 * n - 2 * e - 6
-    r_hi = n * e + 1
-    for r in range(r_lo, r_hi + 1):
-        for s in range(e):
-            if beta.occupied((r + n) * e + s):
-                occ.add(r * (e + 1) + s)
-        if r < n * e:
-            occ.add(r * (e + 1) + e)
-    low = r_lo * (e + 1)
-    return partition_of(Abacus.from_occupied(e + 1, occ, low))
+    k0 = -(len(lam.parts) // e) - 1  # lam's runners start at level k0
+    s = bin(mask_of(lam, k0 * e))[:1:-1]
+    full = "1" * (n * e + n - k0)  # levels k0 - n, ..., n*e - 1
+    return _partition_of_bits(_interleave([s[r::e] for r in range(e)] + [full]))
 
 
 # -- Rouquier predicate and Scopes chains ----------------------------------

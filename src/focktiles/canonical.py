@@ -80,8 +80,7 @@ def llt_G(mu, e, ctx=None):
     """Canonical basis vector G(mu) for e-regular mu via the LLT algorithm."""
     if not is_e_regular(mu, e):
         raise ValueError("llt_G requires an e-regular partition")
-    ctx = ctx or BlockContext(block_of(mu, e))
-    return _llt_column(mu, e, ctx)
+    return _llt_column(mu, e, BlockContext.of(block_of(mu, e), ctx))
 
 
 def _monomial(mu, e, ctx):
@@ -274,9 +273,7 @@ def rouquier_column(mu, b, ctx=None):
         raise ValueError("%r is not a Rouquier block" % (b,))
     if block_of(mu, b.e) != b:
         raise ValueError("mu must lie in the block")
-    ctx = ctx or BlockContext(b)
-    if ctx.block != b:
-        raise ValueError("the context must belong to the block")
+    ctx = BlockContext.of(b, ctx)
     e = b.e
     quots = ctx.cache("shifted_quotient")
     qm = shifted_quotient(mu, e, c)
@@ -490,7 +487,7 @@ def check_family_block(pair):
     return BlockId(e, core, wcheck)
 
 
-def hook_quotient_families(pair, ctx=None):
+def hook_quotient_families(pair):
     """All hook-quotient exceptional families across the pair."""
     bcheck = check_family_block(pair)
     if bcheck is None:

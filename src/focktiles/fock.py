@@ -178,8 +178,8 @@ def pack(v):
     return {mask_of(lam, lo): dict(c.coeffs) for lam, c in v.terms.items()}, lo
 
 
-def unpack(vec, lo):
-    """The Fock vector of packed terms over offset lo."""
+def unpack(vec):
+    """The Fock vector of packed terms (over any offset)."""
     return FockVector({partition_of_mask(m): LaurentPoly(c) for m, c in vec.items()})
 
 
@@ -204,7 +204,7 @@ def apply_F(v, i, k, e):
     if k < 1:
         raise ValueError("k must be at least 1")
     vec, lo = pack(v)
-    return unpack(step_F(vec, i, k, e, lo), lo)
+    return unpack(step_F(vec, i, k, e, lo))
 
 
 def apply_E(v, i, k, e):
@@ -212,4 +212,4 @@ def apply_E(v, i, k, e):
     if k < 1:
         raise ValueError("k must be at least 1")
     vec, lo = pack(v)
-    return unpack(step_E(vec, i, k, e, lo), lo)
+    return unpack(step_E(vec, i, k, e, lo))

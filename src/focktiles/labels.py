@@ -20,11 +20,17 @@ class BeadMovement:
 
 @lru_cache(maxsize=None)
 def _movements_cached(parts, e):
-    a = abacus_of(Partition(parts), e)
     raw = []
-    for x in a.window:
-        for i in range(a.weight_of(x)):
-            raw.append((x - i * e, x))
+    for first, bits in abacus_of(Partition(parts), e).runner_slices():
+        gaps = 0
+        for j, bit in enumerate(bits):
+            if bit == "0":
+                gaps += 1
+            else:
+                # a bead with g gaps above it starts its g movements at
+                # itself and the g - 1 positions above it on the runner
+                x = first + j * e
+                raw.extend((x - i * e, x) for i in range(gaps))
     raw.sort()
     return tuple(BeadMovement(b=b, q=q, index=r + 1) for r, (q, b) in enumerate(raw))
 
@@ -48,15 +54,18 @@ def movements(lam, e):
     return _movements_cached(lam.parts, e)
 
 
-def z_of(a, x):
-    """Armlength of a movement starting at x: unoccupied count in (x-e, x]."""
-    return sum(1 for t in range(x - a.e + 1, x + 1) if not a.occupied(t))
-
-
 @lru_cache(maxsize=None)
 def _z_cached(parts, e):
+    # the armlength of a movement starting at q is the gap count in
+    # (q - e, q]: e minus the popcount of that e-bit window of the mask.
+    # The window lies above base: a bead with g gaps above it has at least
+    # g slots above it on its runner, so q >= base + e.
     a = abacus_of(Partition(parts), e)
-    return tuple(z_of(a, mv.q) for mv in _movements_cached(parts, e))
+    full = (1 << e) - 1
+    return tuple(
+        e - (a.mask >> (mv.q - e + 1 - a.base) & full).bit_count()
+        for mv in _movements_cached(parts, e)
+    )
 
 
 def z_label(lam, e):
@@ -81,8 +90,7 @@ def z_inverse(b, target, ctx=None):
         raise ValueError("label length must equal the block weight")
     if not is_m_increasing(target, 0) or any(t < 0 or t > b.e - 1 for t in target):
         raise ValueError("label must be 0-increasing with entries in [0, e-1]")
-    ctx = ctx or BlockContext(b)
-    lam = ctx.z_inv().get(target)
+    lam = BlockContext.of(b, ctx).z_inv().get(target)
     if lam is None:
         raise AssertionError("no partition with label %r in %r" % (target, b))
     return lam
@@ -198,6 +206,23 @@ def modified_basis(lam, e):
     return _modified_cached(lam.parts, e)
 
 
+def expand_in_basis(lam, e, vector):
+    """Integer coefficients of `vector` in the modified basis of lam.
+
+    The basis telescopes along each runner chain, so coefficients are
+    prefix / suffix sums; exactness is automatic.
+    """
+    coeffs = [0] * len(movements(lam, e))
+    for idx, l in _chains_cached(lam.parts, e).values():
+        vals = [vector[i - 1] for i in idx]
+        for g in range(l):
+            coeffs[idx[g] - 1] = sum(vals[: g + 1])
+        coeffs[idx[l] - 1] = sum(vals)
+        for g in range(l + 1, len(idx)):
+            coeffs[idx[g] - 1] = sum(vals[g:])
+    return coeffs
+
+
 def succ_geq(lam, e, i, j):
     """The partial order on movement indices: i >= j along a runner chain."""
     mvs = movements(lam, e)
@@ -263,6 +288,16 @@ class BlockContext:
         self._zmap = None
         self._zinv = None
         self.caches = {}
+
+    @staticmethod
+    def of(block, ctx=None):
+        """ctx, or a new context of block when ctx is None; a context that
+        belongs to another block is refused with ValueError."""
+        if ctx is None:
+            return BlockContext(block)
+        if ctx.block != block:
+            raise ValueError("the context must belong to the block")
+        return ctx
 
     def members(self):
         if self._members is None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import lt
 
 
 class Partition:
@@ -15,10 +16,12 @@ class Partition:
     __slots__ = ("parts",)
 
     def __init__(self, parts=()):
-        parts = tuple(int(p) for p in parts if int(p) != 0)
-        if any(p < 0 for p in parts):
+        parts = tuple(map(int, parts))
+        if 0 in parts:
+            parts = tuple(filter(None, parts))
+        if parts and min(parts) < 0:
             raise ValueError("parts must be positive: %r" % (parts,))
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(lt, parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing: %r" % (parts,))
         object.__setattr__(self, "parts", parts)
 

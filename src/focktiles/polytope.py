@@ -9,12 +9,11 @@ from .abacus import block_of
 from .labels import (
     BlockContext,
     HatVec,
-    _chains_cached,
+    expand_in_basis,
     hat_z,
     is_hook_quotient,
     is_m_increasing,
     modified_basis,
-    movements,
     vec_add,
     z_label,
 )
@@ -83,23 +82,6 @@ def parallelotope_of(lam, e):
 
 def hypercube_of(lam, e):
     return Hypercube(anchor=hat_z(lam, e), generators=modified_basis(lam, e).lifted, owner=lam)
-
-
-def expand_in_basis(lam, e, vector):
-    """Integer coefficients of `vector` in the modified basis of lam.
-
-    The basis telescopes along each runner chain, so coefficients are
-    prefix / suffix sums; exactness is automatic.
-    """
-    coeffs = [0] * len(movements(lam, e))
-    for idx, l in _chains_cached(lam.parts, e).values():
-        vals = [vector[i - 1] for i in idx]
-        for g in range(l):
-            coeffs[idx[g] - 1] = sum(vals[: g + 1])
-        coeffs[idx[l] - 1] = sum(vals)
-        for g in range(l + 1, len(idx)):
-            coeffs[idx[g] - 1] = sum(vals[g:])
-    return coeffs
 
 
 def pi_membership(lam, target, e):
@@ -206,7 +188,7 @@ class Tiling:
 
 def build_tiling(b, m=4, ctx=None):
     """Cells for every hook-quotient partition in the block."""
-    ctx = ctx or BlockContext(b)
+    ctx = BlockContext.of(b, ctx)
     cells = []
     for lam in ctx.members():
         if is_hook_quotient(lam, b.e):
@@ -321,7 +303,7 @@ def ext_adjacency(b, ctx=None):
     For each pair exactly one of z(mu) = z(lam) + eps_i or the symmetric
     relation holds; violations raise.
     """
-    ctx = ctx or BlockContext(b)
+    ctx = BlockContext.of(b, ctx)
     e = b.e
     four = [lam for lam in ctx.members() if is_m_increasing(z_label(lam, e), 4)]
     hats = {lam: hat_z(lam, e) for lam in four}

@@ -288,7 +288,7 @@ def rouquier_block(e, w):
     return BlockId(e, core_from_levels(tuple(g * a for a in range(e)), e), w)
 
 
-def ac4(llt_limit=None):
+def ac4():
     """Rouquier formulas: LM vs hook reduction vs closed vs LLT.
 
     The LR-product formula is checked against the closed formula for every

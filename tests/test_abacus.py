@@ -21,6 +21,7 @@ from focktiles.abacus import (
     crystal_F,
     enumerate_block,
     is_rouquier,
+    partition_from_quotient,
     partition_of,
     quotient_of,
     rouquier_charge,
@@ -47,7 +48,7 @@ def test_roundtrip(lam, e):
     assert w == sum(q.size for q in quot)
     # per-bead reference: a bead's part is the number of gaps above it
     for r in range(e):
-        wts = [a.weight_of(x) for x in reversed(a.runner_positions(r))]
+        wts = [a.weight_of(x) for x in reversed(a.window) if x % e == r]
         assert quot[r] == Partition([x for x in wts if x])
 
 
@@ -139,8 +140,10 @@ def test_abacus_matches_bead_set_model(model, data):
     assert all(a.occupied(x) == model.occupied(x) for x in span)
     assert a.max_occupied() == max(model.occ | {low - 1})
     assert partition_of(a) == Partition(model.parts())
-    for r in range(e):
-        assert a.runner_positions(r) == model.runner_positions(r)
+    for r, (first, bits) in enumerate(a.runner_slices()):
+        assert first % e == r % e and a.base <= first < a.base + e
+        beads = tuple(first + j * e for j, bit in enumerate(bits) if bit == "1")
+        assert beads == model.runner_positions(r)
         assert a.runner_max(r) == model.runner_max(r)
     for x in span:
         if model.occupied(x) and x >= low:
@@ -179,15 +182,34 @@ def test_enumerate_block_counts():
         BlockId(3, Partition((3,)), 1)  # (3) is not a 3-core
 
 
+def _multipartitions(w, e):
+    """Every e-tuple of partitions of total size w."""
+    if e == 1:
+        return [(p,) for p in all_partitions(w)]
+    return [
+        (p,) + rest
+        for k in range(w + 1)
+        for p in all_partitions(k)
+        for rest in _multipartitions(w - k, e - 1)
+    ]
+
+
 def test_enumerate_block_is_bijective():
-    for b in [BlockId(3, EMPTY, 3), BlockId(4, parse_partition("2"), 2)]:
+    rng = random.Random(17)
+    blocks = [BlockId(3, EMPTY, 3), BlockId(4, parse_partition("2"), 2)]
+    for _ in range(30):
+        e = rng.randint(2, 6)
+        cores = [lam for n in range(11) for lam in all_partitions(n) if weight_of(lam, e) == 0]
+        blocks.append(BlockId(e, rng.choice(cores), rng.randint(0, 3)))
+    for b in blocks:
         members = enumerate_block(b)
         assert len(set(members)) == len(members)
-        quots = set()
-        for lam in members:
+        quots = [quotient_of(lam, b.e) for lam in members]
+        for lam, quot in zip(members, quots):
             assert block_of(lam, b.e) == b
-            quots.add(quotient_of(lam, b.e))
-        assert len(quots) == len(members)
+            assert partition_from_quotient(b, quot) == lam
+        want = _multipartitions(b.weight, b.e)
+        assert len(quots) == len(want) and set(quots) == set(want)
 
 
 def test_crystal_operators():
@@ -283,7 +305,35 @@ def test_weyl_braid_relations():
                         assert lhs == rhs
 
 
+def _add_full_runner_reference(lam, e):
+    """Position by position: r(e+1)+s is a bead of lam+ iff s < e and
+    (r+n)e+s is a bead of lam, or s = e and r < ne (n = |lam|); below
+    level -n - len(lam) - 1 every position is a bead."""
+    n = lam.size
+    a = abacus_of(lam, e)
+    r_lo = -n - len(lam.parts) - 1
+    occ = set()
+    for r in range(r_lo, n * e + 1):
+        for s in range(e):
+            if a.occupied((r + n) * e + s):
+                occ.add(r * (e + 1) + s)
+        if r < n * e:
+            occ.add(r * (e + 1) + e)
+    return partition_of(Abacus.from_occupied(e + 1, occ, r_lo * (e + 1)))
+
+
+@given(large_parts, st.integers(2, 7))
+@settings(max_examples=40, deadline=None)
+def test_add_full_runner_matches_reference_large(parts, e):
+    lam = Partition(sorted(parts, reverse=True))
+    assert add_full_runner(lam, e) == _add_full_runner_reference(lam, e)
+
+
 def test_add_full_runner():
+    for n in range(13):
+        for lam in all_partitions(n):
+            for e in (2, 3, 4, 5):
+                assert add_full_runner(lam, e) == _add_full_runner_reference(lam, e)
     lam = parse_partition("5,5,4,2,2,2,1,1")
     lamp = add_full_runner(lam, 4)
     assert z_label(lamp, 5) == z_label(lam, 4)

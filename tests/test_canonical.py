@@ -1,4 +1,7 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from focktiles.partitions import EMPTY, all_partitions, is_e_regular, parse_partition
 from focktiles.abacus import (
@@ -144,6 +147,47 @@ def test_rouquier_predicate_matches_llt():
             for mu in ctx.members():
                 if is_e_regular(mu, e):
                     assert rouquier_column(mu, b, ctx) == llt_G(mu, e, ctx)
+
+
+def test_llt_G_refuses_a_context_of_another_block():
+    mu = P("3,1")
+    with pytest.raises(ValueError, match="context"):
+        llt_G(mu, 2, BlockContext(BlockId(2, P("2,1"), 1)))
+    # in its own block the column also holds q (2,2)
+    G = llt_G(mu, 2, BlockContext(block_of(mu, 2)))
+    assert G == llt_G(mu, 2) and G.coeff(P("2,2")) == q(1)
+
+
+def test_rouquier_column_refuses_a_context_of_another_block():
+    with pytest.raises(ValueError, match="context"):
+        rouquier_column(P("5"), block_of(P("5"), 2), BlockContext(BlockId(2, EMPTY, 2)))
+
+
+@lru_cache(maxsize=None)
+def _small_cores(e):
+    return [lam for n in range(11) for lam in all_partitions(n) if weight_of(lam, e) == 0]
+
+
+@given(st.integers(2, 8), st.integers(1, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_routes_agree_on_random_small_blocks(e, w, data):
+    # LLT against the closed formula and the Scopes induction on every
+    # 4-increasing e-regular mu, and against the LR formula on every column
+    # of a Rouquier block; cores have at most 10 nodes
+    b = BlockId(e, data.draw(st.sampled_from(_small_cores(e))), w)
+    ctx = BlockContext(b)
+    rouquier = is_rouquier(b)
+    engine = InductiveEngine(e)
+    for mu in ctx.members():
+        four = is_m_increasing(ctx.z_map()[mu], 4)
+        if not is_e_regular(mu, e) or not (four or rouquier):
+            continue
+        G = llt_G(mu, e, ctx)
+        if four:
+            assert FockVector({lam: d_closed(lam, mu, e) for lam in ctx.members()}) == G
+            assert engine.column(mu) == G
+        if rouquier:
+            assert rouquier_column(mu, b, ctx) == G
 
 
 def test_rouquier_column_vs_llt():

@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from focktiles.partitions import EMPTY, Partition, all_partitions, parse_partition
 from focktiles.abacus import BlockId, abacus_of, enumerate_block, partition_of, weyl_s
@@ -44,6 +45,46 @@ def test_movement_invariants():
                 if z:
                     assert z[-1] != e  # the last movement starts at its bead
                 assert all(0 <= t <= e for t in z)
+
+
+def _movements_reference(lam, e):
+    """Position by position: a bead at x with g gaps above it on its runner
+    starts movements at x, x - e, ..., x - (g-1)e; ordered by (q, b)."""
+    a = abacus_of(lam, e)
+    raw = []
+    for x in range(a.base, a.max_occupied() + 1):
+        if a.occupied(x):
+            g = sum(1 for t in range(x - e, a.base - 1, -e) if not a.occupied(t))
+            raw.extend((x - i * e, x) for i in range(g))
+    raw.sort()
+    return [(b, q, k + 1) for k, (q, b) in enumerate(raw)]
+
+
+def _check_movements_and_z(lam, e):
+    ref = _movements_reference(lam, e)
+    assert [(mv.b, mv.q, mv.index) for mv in movements(lam, e)] == ref
+    # z counts the gaps in (q - e, q], a window that lies above base
+    a = abacus_of(lam, e)
+    assert all(q >= a.base + e for _, q, _ in ref)
+    assert z_label(lam, e) == tuple(
+        sum(1 for t in range(q - e + 1, q + 1) if not a.occupied(t)) for _, q, _ in ref
+    )
+
+
+def test_movements_and_z_match_reference():
+    for n in range(13):
+        for lam in all_partitions(n):
+            for e in (2, 3, 4, 5):
+                _check_movements_and_z(lam, e)
+
+
+@given(
+    st.lists(st.integers(1, 20), min_size=6, max_size=14).filter(lambda v: sum(v) > 40),
+    st.integers(2, 7),
+)
+@settings(max_examples=60, deadline=None)
+def test_movements_and_z_match_reference_large(parts, e):
+    _check_movements_and_z(Partition(sorted(parts, reverse=True)), e)
 
 
 def test_m_increasing():
@@ -135,6 +176,14 @@ def test_hat_z():
     # JSON round trip
     h = hat_z(mu, 10)
     assert HatVec.from_json(h.to_json()) == h
+
+
+def test_z_inverse_refuses_a_context_of_another_block():
+    b = BlockId(4, EMPTY, 2)
+    with pytest.raises(ValueError, match="context"):
+        z_inverse(b, (1, 2), BlockContext(BlockId(4, parse_partition("2"), 2)))
+    lam = z_inverse(b, (1, 2), BlockContext(b))
+    assert lam == z_inverse(b, (1, 2)) and z_label(lam, 4) == (1, 2)
 
 
 def test_z_inverse():

@@ -33,10 +33,19 @@ def test_parse_and_format():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"weakly decreasing: \(1, 2\)"):
         Partition((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"positive: \(-1,\)"):
         Partition((-1,))
+    with pytest.raises(ValueError, match=r"positive: \(3, -1, 2\)"):
+        Partition((3, 0, -1, 2))
+    with pytest.raises(ValueError, match=r"weakly decreasing: \(2, 1, 3\)"):
+        Partition([2, 0, 1, 3])
+    with pytest.raises(ValueError):
+        Partition(("x",))
+    assert Partition((0, 3, 0, 3, 1, 0)).parts == (3, 3, 1)
+    assert Partition(iter(["2", 1.0, 0])).parts == (2, 1)
+    assert Partition((0, 0)).parts == () and Partition().parts == ()
 
 
 def test_conjugate_examples():

@@ -86,6 +86,16 @@ def test_tiling_laws_small():
         assert check_common_faces(t)
 
 
+def test_build_tiling_refuses_a_context_of_another_block():
+    with pytest.raises(ValueError, match="context"):
+        build_tiling(BlockId(6, EMPTY, 2), ctx=BlockContext(BlockId(6, EMPTY, 1)))
+
+
+def test_ext_adjacency_refuses_a_context_of_another_block():
+    with pytest.raises(ValueError, match="context"):
+        ext_adjacency(BlockId(11, EMPTY, 2), BlockContext(BlockId(11, EMPTY, 1)))
+
+
 def test_ext_adjacency():
     b = BlockId(11, EMPTY, 2)
     ctx = BlockContext(b)
