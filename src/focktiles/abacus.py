@@ -195,15 +195,6 @@ class Abacus:
         """Add c to every position (charge shift)."""
         return Abacus(self.e, self.base + c, self.mask)
 
-    def to_string(self):
-        """Debug dump: rows of e positions, filled/empty dots."""
-        lo = self.base - (self.base % self.e) - self.e
-        hi = self.max_occupied() + 1 + self.e
-        rows = []
-        for start in range(lo, hi, self.e):
-            rows.append(" ".join("●" if self.occupied(start + j) else "·" for j in range(self.e)))
-        return "\n".join(rows)
-
 
 def abacus_of(lam, e):
     """The abacus of beta(lambda) = {lambda_i - i}."""
@@ -279,10 +270,6 @@ class BlockId:
 
     def to_json(self):
         return {"e": self.e, "core": list(self.core.parts), "weight": self.weight}
-
-    @staticmethod
-    def from_json(obj):
-        return BlockId(int(obj["e"]), Partition(obj["core"]), int(obj["weight"]))
 
 
 def block_of(lam, e):

@@ -8,7 +8,6 @@ parallelotope formula, which is what makes the cross-checks meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._ladders import _Window, ladder_fold
 from .abacus import (
@@ -16,7 +15,6 @@ from .abacus import (
     abacus_of,
     block_of,
     core_quotient_weight,
-    enumerate_block,
     is_rouquier,
     partition_of,
     rouquier_charge,
@@ -327,11 +325,8 @@ class ExceptionalFamily:
         Returns a dict with n = k+2-|J| (the number of member parallelotopes
         containing the label), s = |X|, and the witness sets.
         """
-        w = len(z_mu)
         diff = vec_sub(tuple(z_mu), self.z0)
-        cols = [self.eta[g] for g in range(1, self.k + 2)] + [
-            self.ext_eps[x] for x in self.external
-        ]
+        cols = list(self.eta[1:]) + [self.ext_eps[x] for x in self.external]
         sol = _solve_integer(cols, diff)
         if sol is None:
             return None
@@ -350,43 +345,39 @@ class ExceptionalFamily:
 
 
 def _solve_integer(cols, target):
-    """Solve sum x_i cols[i] = target exactly over the integers, or None."""
-    w = len(target)
-    n = len(cols)
-    mat = [[Fraction(cols[j][i]) for j in range(n)] + [Fraction(target[i])] for i in range(w)]
+    """Solve sum x_i cols[i] = target over the integers, or None.
+
+    Every column has at most one +1 and one -1, so the matrix is totally
+    unimodular: each pivot is a unit and elimination stays in Z.
+    """
+    w, n = len(target), len(cols)
+    mat = [[col[i] for col in cols] + [target[i]] for i in range(w)]
     piv_rows = []
     r = 0
     for c in range(n):
-        sel = None
-        for rr in range(r, w):
-            if mat[rr][c]:
-                sel = rr
-                break
+        sel = next((rr for rr in range(r, w) if mat[rr][c]), None)
         if sel is None:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
+        piv = mat[r][c]
+        if piv not in (1, -1):
+            raise AssertionError("separation pivot %d is not a unit" % piv)
+        mat[r] = [v * piv for v in mat[r]]
         for rr in range(w):
-            if rr != r and mat[rr][c]:
-                f = mat[rr][c]
-                mat[rr] = [a - f * b for a, b in zip(mat[rr], mat[r])]
+            f = mat[rr][c]
+            if rr != r and f:
+                mat[rr] = [x - f * y for x, y in zip(mat[rr], mat[r])]
         piv_rows.append((r, c))
         r += 1
-    # consistency
-    for rr in range(r, w):
-        if mat[rr][n]:
-            return None
-    sol = [Fraction(0)] * n
-    for row, col in piv_rows:
-        sol[col] = mat[row][n]
-    if any(v.denominator != 1 for v in sol):
+    if any(mat[rr][n] for rr in range(r, w)):
         return None
+    sol = [0] * n
+    for row, c in piv_rows:
+        sol[c] = mat[row][n]
     # verify (guards the non-pivot columns)
-    for i in range(w):
-        if sum(int(sol[j]) * cols[j][i] for j in range(n)) != target[i]:
-            return None
-    return [int(v) for v in sol]
+    if any(sum(x * col[i] for x, col in zip(sol, cols)) != target[i] for i in range(w)):
+        return None
+    return sol
 
 
 def exceptional_family(gen, pair):
@@ -395,17 +386,12 @@ def exceptional_family(gen, pair):
 
     Requires E_a(gen) = 0 and gen in the weight w-k-1 block of the pair.
     """
-    e = pair.block.e
-    a = pair.a
-    k = pair.k
+    e, a, k = pair.block.e, pair.a, pair.k
     if removable_beads(gen, a, e):
         raise ValueError("the generator must satisfy E_a = 0")
     C = addable_beads(gen, (a - 1) % e, e)
     if len(C) != k + 2:
-        raise ValueError(
-            "generator has %d addable beads on runner a-1, expected %d"
-            % (len(C), k + 2)
-        )
+        raise ValueError("generator has %d addable beads on runner a-1, expected %d" % (len(C), k + 2))
     aba = abacus_of(gen, e)
     quot = core_quotient_weight(aba)[1]
     if any(q.part(2) > 1 for q in quot):
@@ -473,36 +459,6 @@ def exceptional_family(gen, pair):
     )
 
 
-def check_family_block(pair):
-    """The weight w-k-1 block holding the family generators."""
-    e = pair.block.e
-    a = pair.a
-    wcheck = pair.block.weight - pair.k - 1
-    if wcheck < 0:
-        return None
-    kt = abacus_of(pair.tilde.core, e)
-    bottom = kt.runner_max(a % e)
-    target = kt.runner_max((a - 1) % e) + e
-    core = partition_of(kt.move_bead(bottom, target))
-    return BlockId(e, core, wcheck)
-
-
-def hook_quotient_families(pair):
-    """All hook-quotient exceptional families across the pair."""
-    bcheck = check_family_block(pair)
-    if bcheck is None:
-        return []
-    e = pair.block.e
-    out = []
-    for gen in enumerate_block(bcheck):
-        if removable_beads(gen, pair.a, e):
-            continue
-        fam = exceptional_family(gen, pair)
-        if fam is not None:
-            out.append(fam)
-    return out
-
-
 # -- inductive construction ---------------------------------------------------
 
 
@@ -518,7 +474,6 @@ class InductiveEngine:
         self.cols = {}
         self.ctxs = {}
         self.chains = {}
-        self.fams = {}
 
     def ctx(self, b):
         if b not in self.ctxs:
@@ -532,12 +487,6 @@ class InductiveEngine:
                 self.chains.setdefault(blocks[j], (blocks[: j + 1], chain[:j]))
         return self.chains[b]
 
-    def families(self, pair):
-        key = (pair.tilde, pair.a, pair.k)
-        if key not in self.fams:
-            self.fams[key] = hook_quotient_families(pair)
-        return self.fams[key]
-
     def column(self, mu):
         e = self.e
         b = block_of(mu, e)
@@ -545,22 +494,19 @@ class InductiveEngine:
         if key in self.cols:
             return self.cols[key]
         if b.weight == 0:
-            col = FockVector.basis(mu)
-            self.cols[key] = col
-            return col
+            self.cols[key] = FockVector.basis(mu)
+            return self.cols[key]
         z = z_label(mu, e)
         if not is_m_increasing(z, 4):
             raise ValueError("inductive_G requires a 4-increasing partition")
         if is_rouquier(b):
-            col = self._store(b, mu, rouquier_column(mu, b, self.ctx(b)))
-            return col
+            return self._store(b, mu, rouquier_column(mu, b, self.ctx(b)))
         # walk back along the Scopes chain to the Rouquier base, then build
         # the z-matched columns forward iteratively (chains can be long)
         blocks, chain = self.chain(b)
         reps = [mu]
         for a, k in reversed(chain):
-            prev = partition_of(weyl_s(abacus_of(reps[-1], e), a))
-            reps.append(prev)
+            reps.append(partition_of(weyl_s(abacus_of(reps[-1], e), a)))
         reps.reverse()
         for i, rep in enumerate(reps):
             if block_of(rep, e) != blocks[i] or z_label(rep, e) != z:
@@ -568,8 +514,7 @@ class InductiveEngine:
         if (blocks[0], reps[0]) not in self.cols:
             self._store(blocks[0], reps[0], rouquier_column(reps[0], blocks[0], self.ctx(blocks[0])))
         for i in range(1, len(blocks)):
-            tkey = (blocks[i], reps[i])
-            if tkey in self.cols:
+            if (blocks[i], reps[i]) in self.cols:
                 continue
             a, k = chain[i - 1]
             pair = ScopesPair(block=blocks[i - 1], tilde=blocks[i], a=a, k=k)
@@ -579,9 +524,8 @@ class InductiveEngine:
     def _store(self, b, mu, col):
         if col.coeff(mu) != LaurentPoly.one():
             raise AssertionError("inductive column is not unitriangular at mu")
-        for lam, c in col.terms.items():
-            if lam != mu and not c.in_qZq():
-                raise AssertionError("inductive column violates triangularity")
+        if any(lam != mu and not c.in_qZq() for lam, c in col.terms.items()):
+            raise AssertionError("inductive column violates triangularity")
         self.cols[(b, mu)] = col
         return col
 
@@ -589,26 +533,49 @@ class InductiveEngine:
         """One Scopes step: columns of s_a(B) from columns of B."""
         e = self.e
         a, k = pair.a, pair.k
-        rem = removable_beads(mu, a, e)
-        if rem:
-            if len(rem) != 1:
-                raise AssertionError(
-                    "4-increasing exceptional partition with several removable beads"
-                )
-            gen = partition_of(abacus_of(mu, e).move_bead(rem[0], rem[0] - 1))
+        if len(removable_beads(mu, a, e)) > 1:
+            raise AssertionError("4-increasing exceptional partition with several removable beads")
+        gen = _bead_back(mu, a, e)
+        if gen is not None:
             fam = exceptional_family(gen, pair)
             if fam is None:
                 raise AssertionError("1-increasing exceptional family must be hook-quotient")
             if mu == fam.upper[0]:
                 return apply_F(self.column(gen), a, 1, e)
         col = apply_E(self.cols[(pair.block, prev)], a, k, e)
-        z_prev = z_label(prev, e)
-        for fam in self.families(pair):
-            sep = fam.separation(z_prev)
-            if sep and sep["s"] == 0 and sep["n"] >= 2:
-                corr = apply_F(self.column(fam.generator), a, 1, e)
-                col = col - corr.scale(quantum_int(sep["n"] - 1))
+        for fam, n in self._corrections(col, mu, prev, pair):
+            corr = apply_F(self.column(fam.generator), a, 1, e)
+            col = col - corr.scale(quantum_int(n - 1))
         return col
+
+    def _corrections(self, col, mu, prev, pair):
+        """The families with s = 0 and n >= 2 for z(prev), with their n.
+
+        Their generators are read off the offenders of col = E_a^(k) G(prev):
+        every lambdatilde^j of a family leads back to its one generator.
+        """
+        e = self.e
+        gens = dict.fromkeys(
+            _bead_back(nu, pair.a, e) for nu, c in col.terms.items() if nu != mu and not c.in_qZq()
+        )
+        gens.pop(None, None)
+        z_prev = z_label(prev, e)
+        out = []
+        for gen in gens:
+            fam = exceptional_family(gen, pair)
+            sep = fam and fam.separation(z_prev)
+            if sep and sep["s"] == 0 and sep["n"] >= 2:
+                out.append((fam, sep["n"]))
+        return out
+
+
+def _bead_back(nu, a, e):
+    """nu with its one removable bead on runner a moved back a slot, or None
+    unless exactly one such bead exists."""
+    rem = removable_beads(nu, a, e)
+    if len(rem) != 1:
+        return None
+    return partition_of(abacus_of(nu, e).move_bead(rem[0], rem[0] - 1))
 
 
 def inductive_G(mu, e, engine=None):

@@ -43,6 +43,17 @@ def _closed_domain(mu, e):
         raise ValueError("the closed formula requires a 4-increasing partition")
 
 
+# the errors a query refuses with exit 1
+DOMAIN_ERRORS = (ValueError, IndexError, MoveError, ArithmeticError)
+
+
+def _dnum_line(line, e, method, engines):
+    parts = line.split(";")
+    if len(parts) != 2:
+        raise ValueError("expected 'lambda;mu', got %r" % line)
+    return _dnum_one(parse_partition(parts[0]), parse_partition(parts[1]), e, method, engines)
+
+
 def _dnum_one(lam, mu, e, method, engines):
     if method == "closed":
         _closed_domain(mu, e)
@@ -107,7 +118,7 @@ def run(argv):
         return int(exc.code or 0)
     try:
         return _dispatch(args)
-    except (ValueError, IndexError, MoveError, ArithmeticError) as exc:
+    except DOMAIN_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 
@@ -152,13 +163,19 @@ def _dispatch(args):
     if v == "dnum":
         engines = {}
         if args.lam is None or args.mu is None:
+            # a bad line answers "error" and the batch goes on; exit 1 at the end
             code = 0
-            for line in sys.stdin:
+            for n, line in enumerate(sys.stdin, 1):
                 line = line.strip()
                 if not line:
                     continue
-                ls, ms = line.split(";")
-                val = _dnum_one(parse_partition(ls), parse_partition(ms), e, args.method, engines)
+                try:
+                    val = _dnum_line(line, e, args.method, engines)
+                except DOMAIN_ERRORS as exc:
+                    print("error")
+                    print("error: line %d: %s" % (n, exc), file=sys.stderr)
+                    code = 1
+                    continue
                 print(str(val))
             return code
         val = _dnum_one(parse_partition(args.lam), parse_partition(args.mu), e, args.method, engines)

@@ -156,10 +156,6 @@ class HatVec:
     def to_json(self):
         return {"diag": list(self.diag), "upper": [[i, j, v] for (i, j), v in self.upper]}
 
-    @staticmethod
-    def from_json(obj):
-        return HatVec.make(tuple(obj["diag"]), {(i, j): v for i, j, v in obj["upper"]})
-
 
 def lift_unit(w, i, j=None):
     """ehat for e_i (j None) or for e_i - e_j."""

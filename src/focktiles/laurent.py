@@ -102,9 +102,6 @@ class LaurentPoly:
         """The bar involution q -> q^{-1}."""
         return _wrap({-e: c for e, c in self.coeffs.items()})
 
-    def is_bar_invariant(self):
-        return self == self.bar()
-
     def in_qZq(self):
         """True iff every exponent is strictly positive."""
         return all(e > 0 for e in self.coeffs)
@@ -143,10 +140,6 @@ class LaurentPoly:
     def to_pairs(self):
         """JSON form: [[exp, coeff], ...] sorted by exponent."""
         return [[e, self.coeffs[e]] for e in sorted(self.coeffs)]
-
-    @staticmethod
-    def from_pairs(pairs):
-        return LaurentPoly({int(e): int(c) for e, c in pairs})
 
     def __str__(self):
         if not self.coeffs:

@@ -84,6 +84,13 @@ def ac2_blocks():
     return blocks
 
 
+def ac3_blocks():
+    """AC-2's blocks plus weight-3 blocks with e >= 4w - 3, whose 4-increasing
+    partitions take their families from weight-1 check blocks."""
+    w3 = [(9, EMPTY), (10, EMPTY), (11, EMPTY), (9, parse_partition("1")), (10, parse_partition("2,1"))]
+    return ac2_blocks() + [BlockId(e, core, 3) for e, core in w3]
+
+
 def _check(conds):
     bad = [name for name, ok in conds if not ok]
     return (not bad, "all %d checks" % len(conds) if not bad else "FAILED: " + ", ".join(bad))
@@ -250,9 +257,9 @@ def ac3():
     """Inductive columns equal closed columns; E/F annihilation at the pair."""
     from .abacus import core_levels, core_reflection_counts
 
-    total = 0
+    per_weight = {}
     engines = {}
-    for b in ac2_blocks():
+    for b in ac3_blocks():
         ctx = BlockContext(b)
         eng = engines.setdefault(b.e, InductiveEngine(b.e))
         mus = _four_increasing_mus(ctx, regular_only=False)
@@ -275,11 +282,13 @@ def ac3():
                     return False, "E^(k+2) G(mu) != 0 for %s in %r" % (mu, b)
                 if apply_F(col, a, 2, b.e):
                     return False, "F^(2) G(mu) != 0 for %s in %r" % (mu, b)
-            total += 1
+            per_weight[b.weight] = per_weight.get(b.weight, 0) + 1
     longest = max(
         (len(chain) for eng in engines.values() for _, chain in eng.chains.values()), default=0
     )
-    return True, "%d columns compared, longest Scopes chain %d steps" % (total, longest)
+    counts = ", ".join("w=%d: %d" % wc for wc in sorted(per_weight.items()))
+    return True, "%d columns compared (%s), longest Scopes chain %d steps" % (
+        sum(per_weight.values()), counts, longest)
 
 
 def rouquier_block(e, w):

@@ -11,6 +11,7 @@ from focktiles.abacus import (
     core_from_levels,
     core_levels,
     core_reflection_counts,
+    enumerate_block,
     is_rouquier,
     partition_of,
     weight_of,
@@ -20,7 +21,6 @@ from focktiles.canonical import (
     InductiveEngine,
     ScopesPair,
     exceptional_family,
-    hook_quotient_families,
     ladder_monomial,
     ladder_sequence,
     llt_G,
@@ -28,7 +28,7 @@ from focktiles.canonical import (
     rouquier_column,
     rouquier_d,
 )
-from focktiles.fock import FockVector, apply_E, apply_F
+from focktiles.fock import FockVector, apply_E, apply_F, removable_beads
 from focktiles.labels import BlockContext, is_m_increasing, z_label
 from focktiles.laurent import LaurentPoly
 from focktiles.polytope import d_closed, parallelotope_of
@@ -209,12 +209,40 @@ def _pair_into(b, a, k):
     return ScopesPair(block=upper, tilde=b, a=a, k=k)
 
 
+def _check_family_block(pair):
+    """The weight w-k-1 block holding the family generators."""
+    e, a = pair.block.e, pair.a
+    wcheck = pair.block.weight - pair.k - 1
+    if wcheck < 0:
+        return None
+    kt = abacus_of(pair.tilde.core, e)
+    bottom = kt.runner_max(a % e)
+    target = kt.runner_max((a - 1) % e) + e
+    return BlockId(e, partition_of(kt.move_bead(bottom, target)), wcheck)
+
+
+def _hook_quotient_families(pair):
+    """Reference: every hook-quotient family across the pair, found by
+    walking the whole check block."""
+    bcheck = _check_family_block(pair)
+    if bcheck is None:
+        return []
+    out = []
+    for gen in enumerate_block(bcheck):
+        if removable_beads(gen, pair.a, pair.block.e):
+            continue
+        fam = exceptional_family(gen, pair)
+        if fam is not None:
+            out.append(fam)
+    return out
+
+
 def test_exceptional_family_structure():
     mu = P("17,7,2^4,1^5")
     b = block_of(mu, 10)
     a, k = 7, 1
     pair = _pair_into(b, a, k)
-    fams = hook_quotient_families(pair)
+    fams = _hook_quotient_families(pair)
     assert fams
     e = 10
     for fam in fams[:3]:
@@ -258,12 +286,25 @@ def test_exceptional_family_structure():
         assert len(verts) == 2 ** (w - fam.k - 1) * (2 ** (fam.k + 2) - 1)
 
 
+def test_solve_integer_unit_pivots():
+    from focktiles.canonical import _solve_integer
+
+    # columns with at most one +1 and one -1; the first pivot is -1
+    cols = [(-1, 1, 0), (0, -1, 1), (0, 0, -1)]
+    assert _solve_integer(cols, (2, -1, 3)) == [-2, -1, -4]
+    assert _solve_integer([(1, -1)], (1, 0)) is None  # inconsistent
+    assert _solve_integer([(1, 0), (1, 0), (0, 1)], (2, 3)) == [2, 0, 3]  # a free column
+    assert _solve_integer([], (0, 0)) == [] and _solve_integer([], (0, 1)) is None
+    with pytest.raises(AssertionError, match="not a unit"):
+        _solve_integer([(1, 1), (1, -1)], (0, 2))
+
+
 def test_exceptional_family_errors():
     mu = P("17,7,2^4,1^5")
     b = block_of(mu, 10)
     a, k = 7, 1
     pair = _pair_into(b, a, k)
-    fams = hook_quotient_families(pair)
+    fams = _hook_quotient_families(pair)
     with pytest.raises(ValueError):
         exceptional_family(fams[0].upper[0], pair)  # E does not vanish
 
@@ -326,7 +367,7 @@ def test_unique_zero_separated_family():
         b = block_of(mu, 9)
         assert b.core == core and b.weight == 3
         pair = _pair_into(b, a, 1)
-        fams = hook_quotient_families(pair)
+        fams = _hook_quotient_families(pair)
         z = z_label(mu, 9)
         for fam in fams:
             sep = fam.separation(z)
@@ -352,3 +393,47 @@ def test_inductive_with_live_corrections():
         ctx = BlockContext(block_of(mu, 9))
         for lam in ctx.members():
             assert col.coeff(lam) == d_closed(lam, mu, 9)
+
+
+class _CheckedEngine(InductiveEngine):
+    """Compares the corrections of every Scopes step with those the
+    check-block walk selects (s = 0, n >= 2)."""
+
+    def __init__(self, e):
+        super().__init__(e)
+        self.used = {}  # check-block weight -> corrections made
+
+    def _corrections(self, col, mu, prev, pair):
+        got = super()._corrections(col, mu, prev, pair)
+        z_prev = z_label(prev, self.e)
+        want = set()
+        for fam in _hook_quotient_families(pair):
+            sep = fam.separation(z_prev)
+            if sep and sep["s"] == 0 and sep["n"] >= 2:
+                want.add((fam.generator, sep["n"]))
+        assert {(fam.generator, n) for fam, n in got} == want
+        wcheck = pair.block.weight - pair.k - 1
+        self.used[wcheck] = self.used.get(wcheck, 0) + len(want)
+        return got
+
+
+def test_offender_generators_match_check_block_walk():
+    # the generators read off the offenders of E_a^(k) G(prev) are exactly
+    # those of the families the whole check block selects, at every step
+    e9 = _CheckedEngine(9)
+    for mu in ["18,5,2^4,1^9", "13,4,1^13", "18,6,2^4,1^9", "13,5,1^13"]:
+        e9.column(P(mu))
+    b = BlockId(10, P("2,1"), 3)
+    e10 = _CheckedEngine(10)
+    ctx = BlockContext(b)
+    for mu in ctx.members():
+        if is_m_increasing(ctx.z_map()[mu], 4):
+            col = e10.column(mu)
+            for lam in ctx.members():
+                assert col.coeff(lam) == d_closed(lam, mu, 10)
+    # corrections from weight-0 and weight-1 check blocks both occur
+    used = {}
+    for eng in (e9, e10):
+        for wcheck, n in eng.used.items():
+            used[wcheck] = used.get(wcheck, 0) + n
+    assert used.get(0) and used.get(1), used

@@ -48,6 +48,23 @@ def test_batch_stdin():
     assert out.splitlines() == ["q", "0"]
 
 
+def test_batch_survives_bad_lines():
+    # a bad line answers "error" in its place and the batch goes on
+    code, out, err = _capture(
+        ["dnum", "--e", "2", "--method", "llt"],
+        stdin="2,1;3\nbad;line\n3;3\n\n2,1\n1;1;1\n3,1,1;5\n",
+    )
+    assert code == 1
+    assert out.splitlines() == ["0", "error", "1", "error", "error", "q"]
+    errs = err.splitlines()
+    assert len(errs) == 3
+    assert errs[0].startswith("error: line 2: ")
+    assert errs[1] == "error: line 5: expected 'lambda;mu', got '2,1'"
+    assert errs[2] == "error: line 6: expected 'lambda;mu', got '1;1;1'"
+    code, out, err = _capture(["dnum", "--e", "2", "--method", "llt"], stdin="3;3\n3,1,1;5\n")
+    assert code == 0 and out.splitlines() == ["1", "q"] and not err
+
+
 def test_verbs():
     code, out, _ = _capture(["quotient", "--e", "4", "7,3,3,2,2,1"])
     assert code == 0 and out.strip() == "[[1],[],[2,1],[]]"

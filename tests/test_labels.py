@@ -8,7 +8,6 @@ from focktiles.partitions import EMPTY, Partition, all_partitions, parse_partiti
 from focktiles.abacus import BlockId, abacus_of, enumerate_block, partition_of, weyl_s
 from focktiles.labels import (
     BlockContext,
-    HatVec,
     hat_z,
     is_hook_quotient,
     is_m_increasing,
@@ -173,9 +172,6 @@ def test_hat_z():
         for e in (2, 3):
             h = hat_z(lam, e)
             assert h.project() == z_label(lam, e)
-    # JSON round trip
-    h = hat_z(mu, 10)
-    assert HatVec.from_json(h.to_json()) == h
 
 
 def test_z_inverse_refuses_a_context_of_another_block():

@@ -14,7 +14,7 @@ def test_quantum_ints():
     with pytest.raises(ValueError):
         quantum_int(0)
     for k in range(1, 7):
-        assert quantum_int(k).is_bar_invariant()
+        assert quantum_int(k).bar() == quantum_int(k)
         assert quantum_factorial(k) == quantum_int(k) * quantum_factorial(k - 1)
 
 
@@ -47,7 +47,7 @@ def test_bar_symmetric_split_examples():
 def test_bar_symmetric_split_properties(c):
     alpha, beta = bar_symmetric_split(c)
     assert alpha + beta == c
-    assert alpha.is_bar_invariant()
+    assert alpha.bar() == alpha
     assert beta.in_qZq()
     # uniqueness: alpha is determined by the non-positive part of c
     assert all(alpha.coeff(-e) == c.coeff(-e) for e in range(0, 8))
@@ -67,4 +67,4 @@ def test_rendering():
     q = LaurentPoly.monomial
     assert str(q(2) + 1 + q(-2)) == "q^2 + 1 + q^-2"
     assert str(LaurentPoly.zero()) == "0"
-    assert LaurentPoly.from_pairs((q(2) + 1).to_pairs()) == q(2) + 1
+    assert (q(2) + 1).to_pairs() == [[0, 1], [2, 1]]
