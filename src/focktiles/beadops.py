@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .abacus import abacus_of, block_of, conormal_slots, normal_beads, partition_of
+from .abacus import abacus_of, block_of, conormal_slots, facts, normal_beads, partition_of
 from .labels import (
     is_hook_quotient,
     is_m_increasing,
@@ -12,7 +12,7 @@ from .labels import (
     vec_add,
     z_label,
 )
-from .partitions import Partition, conjugate, is_e_regular
+from .partitions import EMPTY, conjugate, is_e_regular
 
 
 class MoveError(ValueError):
@@ -203,35 +203,33 @@ def _mull_residue(i, e):
     return (-i) % e
 
 
-_mullineux_images = {}  # (parts, e) -> parts of the image
-
-
 def _mullineux(lam, e):
     """Peel the first nonempty crystal string off lam until a partition with
     a known image is left (the empty one at worst), then rebuild the image
-    string by string with the twisted residues, caching the image of every
-    partition peeled."""
-    peeled = []  # (parts, residue, string length), outermost first
-    a = abacus_of(lam, e)
-    parts = lam.parts
-    while parts and (parts, e) not in _mullineux_images:
+    string by string with the twisted residues, recording the image of every
+    partition peeled in its `facts` record."""
+    peeled = []  # (record, residue, string length), outermost first
+    f = facts(lam, e)
+    while lam.parts and f.mullineux is None:
+        a = f.abacus
         for i in range(e):
             normals = normal_beads(a, i)
             if normals:
                 break
         else:
             raise AssertionError("nonempty partition with no normal beads")
-        peeled.append((parts, i, len(normals)))
-        a = a.move_beads([(x, x - 1) for x in normals])
-        parts = partition_of(a).parts
-    up = abacus_of(Partition(_mullineux_images.get((parts, e), ())), e)
-    for parts, i, m in reversed(peeled):
+        peeled.append((f, i, len(normals)))
+        lam = partition_of(a.move_beads([(x, x - 1) for x in normals]))
+        f = facts(lam, e)
+    image = f.mullineux or EMPTY
+    up = abacus_of(image, e)
+    for f, i, m in reversed(peeled):
         slots = conormal_slots(up, _mull_residue(i, e))
         if len(slots) < m:
             raise AssertionError("Mullineux recursion lost a crystal string")
         up = up.move_beads([(t - 1, t) for t in slots[len(slots) - m :]])
-        _mullineux_images[(parts, e)] = partition_of(up).parts
-    return partition_of(up)
+        f.mullineux = image = partition_of(up)
+    return image
 
 
 def mullineux_crystal(lam, e):

@@ -24,9 +24,7 @@ from .abacus import (
 from .fock import FockVector, addable_beads, apply_E, apply_F, removable_beads
 from .labels import (
     BlockContext,
-    HatVec,
     is_m_increasing,
-    lift_unit,
     modified_basis,
     movements,
     vec_sub,
@@ -132,40 +130,40 @@ def lr_coefficient(rho, sigma, tau):
         return 0
     if not tau.parts:
         return 1 if rho == sigma else 0
-    nrows = len(rho.parts)
     t = len(tau.parts)
     cells = []  # reading order: rows top to bottom, right to left
-    for i in range(1, nrows + 1):
-        lo = sigma.part(i)
-        for j in range(rho.part(i), lo, -1):
-            cells.append((i, j))
-    total = 0
-    filling = {}
+    for i in range(1, len(rho.parts) + 1):
+        cells.extend((i, j) for j in range(rho.part(i), sigma.part(i), -1))
+    n = len(cells)
+    at = {c: k for k, c in enumerate(cells)}
+    # the cells above and to the right of a cell come before it in reading
+    # order; where there is none, read the sentinel 0 (above) or t (right)
+    above = [at.get((i - 1, j), n) for i, j in cells]
+    right = [at.get((i, j + 1), n + 1) for i, j in cells]
+    vals = [0] * n + [0, t]  # the entry of each cell, 0 while it is empty
+    cap = (0,) + tau.parts
     counts = [0] * (t + 1)
-
-    def rec(pos):
-        nonlocal total
-        if pos == len(cells):
-            if list(tau.parts) == counts[1 : len(tau.parts) + 1]:
-                total += 1
-            return
-        i, j = cells[pos]
-        above = filling.get((i - 1, j))
-        right = filling.get((i, j + 1))
-        lo = (above + 1) if above is not None else 1
-        hi = right if right is not None else t
-        for val in range(lo, hi + 1):
-            if counts[val] >= tau.part(val):
-                continue
-            if val > 1 and counts[val] + 1 > counts[val - 1]:
-                continue
-            counts[val] += 1
-            filling[(i, j)] = val
-            rec(pos + 1)
-            del filling[(i, j)]
-            counts[val] -= 1
-
-    rec(0)
+    total = pos = 0
+    while pos >= 0:
+        v = vals[pos]
+        if v:  # take back the entry tried last
+            counts[v] -= 1
+        v = max(v, vals[above[pos]]) + 1
+        hi = vals[right[pos]]
+        while v <= hi and (counts[v] >= cap[v] or (v > 1 and counts[v] >= counts[v - 1])):
+            v += 1
+        if v > hi:
+            vals[pos] = 0
+            pos -= 1
+            continue
+        vals[pos] = v
+        counts[v] += 1
+        if pos < n - 1:
+            pos += 1
+        else:
+            # no entry exceeds its content and the sizes agree, so this
+            # complete filling has content tau
+            total += 1
     return total
 
 
@@ -312,7 +310,6 @@ class ExceptionalFamily:
     internal: tuple  # i_0 < ... < i_k
     external: tuple
     eta: tuple  # k+2 vectors in Z^w
-    eta_hat: tuple  # their lifts
     ext_eps: dict  # x in external -> eps vector (common to all members)
     z0: tuple  # z(lambda^0) = z(lambdatilde^0)
 
@@ -429,10 +426,6 @@ def exceptional_family(gen, pair):
     for g in range(1, k + 1):
         eta.append(vec_sub(unit(i[g - 1]), unit(i[g])))
     eta.append(unit(i[k]))
-    eta_hat = [-lift_unit(w, i[0])]
-    for g in range(1, k + 1):
-        eta_hat.append(HatVec.make((0,) * w, {(i[g - 1], i[g]): 1}))
-    eta_hat.append(lift_unit(w, i[k]))
     mb_u = modified_basis(upper[0], e)
     mb_l = modified_basis(lower[0], e)
     ext_eps = {}
@@ -453,7 +446,6 @@ def exceptional_family(gen, pair):
         internal=tuple(internal),
         external=external,
         eta=tuple(eta),
-        eta_hat=tuple(eta_hat),
         ext_eps=ext_eps,
         z0=z0,
     )

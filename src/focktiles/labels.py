@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .abacus import abacus_of, enumerate_block, quotient_of
-from .partitions import Partition
+from .abacus import enumerate_block, facts, quotient_of
 
 
 @dataclass(frozen=True)
@@ -18,10 +16,15 @@ class BeadMovement:
     index: int  # 1-based rank in the total order (q first, then b)
 
 
-@lru_cache(maxsize=None)
-def _movements_cached(parts, e):
+def _moved(lam, e):
+    """The `facts` record of lam with its movements filled, and their runner
+    chains {runner: (idx, l)}: each runner's movement indices and the
+    position in idx of the first movement of its bottom bead."""
+    f = facts(lam, e)
+    if f.movements is not None:
+        return f
     raw = []
-    for first, bits in abacus_of(Partition(parts), e).runner_slices():
+    for first, bits in f.abacus.runner_slices():
         gaps = 0
         for j, bit in enumerate(bits):
             if bit == "0":
@@ -32,45 +35,33 @@ def _movements_cached(parts, e):
                 x = first + j * e
                 raw.extend((x - i * e, x) for i in range(gaps))
     raw.sort()
-    return tuple(BeadMovement(b=b, q=q, index=r + 1) for r, (q, b) in enumerate(raw))
-
-
-@lru_cache(maxsize=None)
-def _chains_cached(parts, e):
-    """{runner: (idx, l)}: each runner's movement indices and the position in
-    idx of the first movement of its bottom bead."""
-    mvs = _movements_cached(parts, e)
-    out = {}
+    f.movements = mvs = tuple(BeadMovement(b=b, q=q, index=r + 1) for r, (q, b) in enumerate(raw))
+    f.chains = {}
     for runner in range(e):
         idx = tuple(mv.index for mv in mvs if mv.q % e == runner)
         if idx:
             bottom = mvs[idx[-1] - 1].b
-            out[runner] = (idx, next(s for s, i in enumerate(idx) if mvs[i - 1].b == bottom))
-    return out
+            f.chains[runner] = (idx, next(s for s, i in enumerate(idx) if mvs[i - 1].b == bottom))
+    return f
 
 
 def movements(lam, e):
     """The bead movements of lam, in the total order (by q, then b)."""
-    return _movements_cached(lam.parts, e)
-
-
-@lru_cache(maxsize=None)
-def _z_cached(parts, e):
-    # the armlength of a movement starting at q is the gap count in
-    # (q - e, q]: e minus the popcount of that e-bit window of the mask.
-    # The window lies above base: a bead with g gaps above it has at least
-    # g slots above it on its runner, so q >= base + e.
-    a = abacus_of(Partition(parts), e)
-    full = (1 << e) - 1
-    return tuple(
-        e - (a.mask >> (mv.q - e + 1 - a.base) & full).bit_count()
-        for mv in _movements_cached(parts, e)
-    )
+    return _moved(lam, e).movements
 
 
 def z_label(lam, e):
     """z(lam): armlengths of all bead movements, in movement order."""
-    return _z_cached(lam.parts, e)
+    f = _moved(lam, e)
+    if f.z is None:
+        # the armlength of a movement starting at q is the gap count in
+        # (q - e, q]: e minus the popcount of that e-bit window of the mask.
+        # The window lies above base: a bead with g gaps above it has at
+        # least g slots above it on its runner, so q >= base + e.
+        a, full = f.abacus, (1 << e) - 1
+        f.z = tuple(e - (a.mask >> (mv.q - e + 1 - a.base) & full).bit_count()
+                    for mv in f.movements)
+    return f.z
 
 
 def is_m_increasing(z, m):
@@ -174,32 +165,26 @@ class ModifiedBasis:
     lifted: tuple  # w HatVec
 
 
-@lru_cache(maxsize=None)
-def _modified_cached(parts, e):
-    lam = Partition(parts)
+def modified_basis(lam, e):
+    f = _moved(lam, e)
+    if f.modified is not None:
+        return f.modified
     if not is_hook_quotient(lam, e):
         raise ValueError("modified basis needs a hook-quotient partition")
-    w = len(_movements_cached(parts, e))
+    w = len(f.movements)
     plain = [None] * w
     lifted = [None] * w
-    for idx, l in _chains_cached(parts, e).values():
+    for idx, l in f.chains.values():
         for g, i in enumerate(idx):
-            if g < l:
-                j = idx[g + 1]
-                plain[i - 1] = vec_sub(_unit(w, i), _unit(w, j))
-                lifted[i - 1] = lift_unit(w, i, j)
-            elif g == l:
+            if g == l:
                 plain[i - 1] = _unit(w, i)
                 lifted[i - 1] = lift_unit(w, i)
             else:
-                j = idx[g - 1]
+                j = idx[g + 1] if g < l else idx[g - 1]
                 plain[i - 1] = vec_sub(_unit(w, i), _unit(w, j))
                 lifted[i - 1] = lift_unit(w, i, j)
-    return ModifiedBasis(plain=tuple(plain), lifted=tuple(lifted))
-
-
-def modified_basis(lam, e):
-    return _modified_cached(lam.parts, e)
+    f.modified = ModifiedBasis(plain=tuple(plain), lifted=tuple(lifted))
+    return f.modified
 
 
 def expand_in_basis(lam, e, vector):
@@ -208,8 +193,9 @@ def expand_in_basis(lam, e, vector):
     The basis telescopes along each runner chain, so coefficients are
     prefix / suffix sums; exactness is automatic.
     """
-    coeffs = [0] * len(movements(lam, e))
-    for idx, l in _chains_cached(lam.parts, e).values():
+    f = _moved(lam, e)
+    coeffs = [0] * len(f.movements)
+    for idx, l in f.chains.values():
         vals = [vector[i - 1] for i in idx]
         for g in range(l):
             coeffs[idx[g] - 1] = sum(vals[: g + 1])
@@ -229,7 +215,7 @@ def succ_geq(lam, e, i, j):
         raise ValueError("the order is defined for hook-quotient partitions")
     if mvs[i - 1].b % e != mvs[j - 1].b % e:
         return False
-    idx, l = _chains_cached(lam.parts, e)[mvs[i - 1].q % e]
+    idx, l = _moved(lam, e).chains[mvs[i - 1].q % e]
     m = idx[l]
     return (i >= j >= m) or (i <= j <= m)
 
@@ -246,12 +232,14 @@ def succ_maximal(lam, e, subset):
 # -- lifted labels ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _hat_z_cached(parts, e):
-    lam = Partition(parts)
-    mvs = _movements_cached(parts, e)
+def hat_z(lam, e):
+    """The lifted label zhat(lam); p(zhat) = z."""
+    f = _moved(lam, e)
+    if f.hat_z is not None:
+        return f.hat_z
+    mvs = f.movements
     w = len(mvs)
-    diag = list(_z_cached(parts, e))
+    diag = list(z_label(lam, e))
     upper = {}
     for i in range(1, w + 1):
         for j in range(i + 1, w + 1):
@@ -261,12 +249,8 @@ def _hat_z_cached(parts, e):
                 diag[i - 1] -= 1
                 diag[j - 1] += 1
                 upper[(i, j)] = upper.get((i, j), 0) + 1
-    return HatVec.make(tuple(diag), upper)
-
-
-def hat_z(lam, e):
-    """The lifted label zhat(lam); p(zhat) = z."""
-    return _hat_z_cached(lam.parts, e)
+    f.hat_z = HatVec.make(tuple(diag), upper)
+    return f.hat_z
 
 
 # -- per-block context ------------------------------------------------------
@@ -275,7 +259,9 @@ def hat_z(lam, e):
 class BlockContext:
     """Memo tables for one block: members, labels, canonical-basis columns.
 
-    All caches are confined to the context object; nothing global mutates.
+    Per-block results live here and nowhere else.  Per-partition facts
+    (core, quotient, movements, z, ...) live in the bounded, value-keyed
+    memo `abacus.facts`, which every context shares.
     """
 
     def __init__(self, block):

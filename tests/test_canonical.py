@@ -112,6 +112,62 @@ def test_lr_coefficient():
                 assert lr_coefficient(rho, sigma, tau) == lr_coefficient(rho, tau, sigma)
 
 
+def _lr_reference(rho, sigma, tau):
+    """lr_coefficient as a recursion over the cells, one level per cell."""
+    if not rho.contains(sigma):
+        return 0
+    if not tau.parts:
+        return 1 if rho == sigma else 0
+    t = len(tau.parts)
+    cells = []
+    for i in range(1, len(rho.parts) + 1):
+        for j in range(rho.part(i), sigma.part(i), -1):
+            cells.append((i, j))
+    total = 0
+    filling = {}
+    counts = [0] * (t + 1)
+
+    def rec(pos):
+        nonlocal total
+        if pos == len(cells):
+            if list(tau.parts) == counts[1 : t + 1]:
+                total += 1
+            return
+        i, j = cells[pos]
+        above = filling.get((i - 1, j))
+        right = filling.get((i, j + 1))
+        lo = (above + 1) if above is not None else 1
+        hi = right if right is not None else t
+        for val in range(lo, hi + 1):
+            if counts[val] >= tau.part(val):
+                continue
+            if val > 1 and counts[val] + 1 > counts[val - 1]:
+                continue
+            counts[val] += 1
+            filling[(i, j)] = val
+            rec(pos + 1)
+            del filling[(i, j)]
+            counts[val] -= 1
+
+    rec(0)
+    return total
+
+
+def test_lr_coefficient_matches_recursive_reference():
+    parts = [all_partitions(n) for n in range(8)]
+    triples = 0
+    for n in range(8):
+        for rho in parts[n]:
+            for k in range(n + 1):
+                for sigma in parts[k]:
+                    for tau in parts[n - k]:
+                        assert lr_coefficient(rho, sigma, tau) == _lr_reference(rho, sigma, tau)
+                        triples += 1
+    assert triples == 2760
+    # 1,100 cells: the recursion would need one frame per cell
+    assert lr_coefficient(P("1200"), P("100"), P("1100")) == 1
+
+
 def test_rouquier_examples():
     b = block_of(P("5"), 2)
     assert is_rouquier(b)
