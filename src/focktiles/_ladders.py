@@ -1,5 +1,10 @@
 """Ladder monomials by a pruned fold of packed F-steps.
 
+No library module uses this file: `canonical.llt_G` builds its columns by
+the crystal recursion.  It is kept because the benchmark in `perfbench/`
+imports it (span targets, the stack-depth probe and `make_expected.py`);
+the tests also use the fold as a reference for `llt_G`.
+
 The ladder monomial A(mu) is a product of divided powers F^(m) applied to
 the empty partition, and each of its terms lies in the block of mu.  The
 fold keeps the terms as packed beta-sets (see `abacus`) and, after each step,

@@ -354,36 +354,36 @@ def enumerate_block(b):
 # -- crystal operators ----------------------------------------------------
 
 
-def _matched_signature(a, i):
-    """(normal beads, conormal slots) of residue i, top to bottom.
+def _matched_signature(m, lo, e, i):
+    """(normal beads, conormal slots) of residue i, top to bottom, of the
+    packed beta-set m over offset lo.
 
     A slot t of residue i holds a removable bead or follows an addable bead
     at t - 1; in increasing position order each addable slot cancels the
     nearest unmatched removable bead above it.
     """
-    m = a.mask
     rem = _removable(m)
-    add = (_addable(m) << 1) | 1  # the bead at base - 1 is addable too
+    add = (_addable(m) << 1) | (~m & 1)  # the bead at lo - 1 is addable when lo is empty
     stack = []
     unmatched = []
-    for p in _bits((rem | add) & _runner(i, a.e, a.base, m.bit_length() + 1)):
+    for p in _bits((rem | add) & _runner(i, e, lo, m.bit_length() + 1)):
         if rem >> p & 1:
-            stack.append(a.base + p)
+            stack.append(lo + p)
         elif stack:
             stack.pop()
         else:
-            unmatched.append(a.base + p)
+            unmatched.append(lo + p)
     return stack, unmatched
 
 
 def normal_beads(a, i):
     """Positions of normal removable beads on runner i, top to bottom."""
-    return _matched_signature(a, i)[0]
+    return _matched_signature(a.mask, a.base, a.e, i)[0]
 
 
 def conormal_slots(a, i):
     """Target slots of conormal addable beads on runner i, top to bottom."""
-    return _matched_signature(a, i)[1]
+    return _matched_signature(a.mask, a.base, a.e, i)[1]
 
 
 def crystal_E(a, i):
@@ -434,7 +434,7 @@ def weyl_s(a, i):
     k = (tops[i] - tops[i - 1] - 1) // e
     if k == 0:
         return a
-    normals, slots = _matched_signature(a, i)
+    normals, slots = _matched_signature(a.mask, a.base, e, i)
     if len(normals if k > 0 else slots) < abs(k):
         raise AssertionError("crystal string shorter than Weyl step")
     if k > 0:

@@ -9,19 +9,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._ladders import _Window, ladder_fold
 from .abacus import (
     BlockId,
+    _matched_signature,
+    _removable,
     abacus_of,
     block_of,
     core_quotient_weight,
     is_rouquier,
+    mask_of,
     partition_of,
+    partition_of_mask,
     rouquier_charge,
     scopes_chain_blocks,
     weyl_s,
 )
-from .fock import FockVector, addable_beads, apply_E, apply_F, removable_beads
+from .fock import FockVector, _accumulate, addable_beads, apply_E, apply_F, removable_beads, step_F, unpack
 from .labels import (
     BlockContext,
     is_m_increasing,
@@ -73,45 +76,100 @@ def _dominance_max(cands):
 
 
 def llt_G(mu, e, ctx=None):
-    """Canonical basis vector G(mu) for e-regular mu via the LLT algorithm."""
+    """Canonical basis vector G(mu) for e-regular mu, by the crystal
+    recursion of the LLT algorithm."""
     if not is_e_regular(mu, e):
         raise ValueError("llt_G requires an e-regular partition")
     return _llt_column(mu, e, BlockContext.of(block_of(mu, e), ctx))
 
 
-def _monomial(mu, e, ctx):
-    """A(mu), folded once per label and pruned to the block of ctx."""
-    mono = ctx.cache("monomial")
-    if mu not in mono:
-        win = ctx.caches.get("window")
-        if win is None:
-            win = ctx.caches["window"] = _Window(e, ctx.members())
-        mono[mu] = ladder_fold(ladder_sequence(mu, e), e, win)
-    return mono[mu]
-
-
 def _llt_column(mu, e, ctx):
+    """G(mu) by the crystal recursion, on packed terms over one offset.
+
+    Each column is built by a `_crystal_column` generator, which asks for
+    the columns of its corrections; a stack of generators answers them, so
+    nothing recurses.  The columns of ctx's block (the labels with |mu|
+    nodes) are unpacked once and stored in ctx; the others lie in smaller
+    blocks and are dropped after use.
+    """
     cache = ctx.cache("llt")
     if mu in cache:
         return cache[mu]
-    v = _monomial(mu, e, ctx)
-    if v.coeff(mu) != LaurentPoly.one():
-        raise AssertionError("ladder monomial is not unitriangular at its label")
-    guard = 0
-    while True:
-        offenders = [nu for nu, c in v.terms.items() if nu != mu and not c.in_qZq()]
-        if not offenders:
-            break
-        guard += 1
-        if guard > 10000:
-            raise AssertionError("LLT elimination failed to terminate")
-        nu = _dominance_max(offenders)
-        if not is_e_regular(nu, e):
-            raise AssertionError("LLT correction hit an e-singular label")
-        alpha, _ = bar_symmetric_split(v.coeff(nu))
-        v = v - _llt_column(nu, e, ctx).scale(alpha)
-    cache[mu] = v
+    n, lo = mu.size, -(mu.size + 2)
+    stack = [(mu, _crystal_column(mask_of(mu, lo), e, lo))]
+    col = None
+    while stack:
+        lam, frame = stack[-1]
+        try:
+            nu = frame.send(col)
+        except StopIteration as done:
+            stack.pop()
+            col = done.value
+            if lam.size == n:
+                cache[lam] = unpack(col)
+            continue
+        if nu in cache:
+            col = {mask_of(x, lo): dict(c.coeffs) for x, c in cache[nu].terms.items()}
+        else:
+            stack.append((nu, _crystal_column(mask_of(nu, lo), e, lo)))
+            col = None
+    return cache[mu]
+
+
+def _crystal_column(m, e, lo):
+    """G of the e-regular label with packed beta-set m over lo.
+
+    A generator: it yields each label whose column it needs, is sent that
+    column in packed form, and returns its own.  The walk down removes all
+    eps_i normal beads of the residue i with the most of them, until the
+    label is empty; the climb back applies F_i^(eps_i) at each step and
+    subtracts bar-invariant multiples of G(x), x dominance-largest first,
+    until the step's target t has coefficient 1 and every other label one
+    in qZ[q].  A correction x has eps_i(x) > eps_i(t), which is the most
+    normal beads of any residue at t, so the chain of corrections ends.
+    """
+    steps = []
+    while _removable(m):
+        normals, i = max(((_matched_signature(m, lo, e, i)[0], i) for i in range(e)),
+                         key=lambda s: len(s[0]))
+        if not normals:
+            raise AssertionError("a nonempty e-regular label has no normal bead")
+        steps.append((m, i, len(normals)))
+        for b in normals:  # each bead one position down
+            m ^= 3 << (b - lo - 1)
+    v = {m: {0: 1}}
+    for t, i, k in reversed(steps):
+        v = step_F(v, i, k, e, lo)
+        guard = 0
+        while True:
+            offenders = {
+                partition_of_mask(x): x
+                for x, c in v.items()
+                if (c != {0: 1} if x == t else min(c) <= 0)
+            }
+            if not offenders:
+                break
+            guard += 1
+            if guard > 10000:
+                raise AssertionError("LLT elimination failed to terminate")
+            nu = _dominance_max(offenders)
+            x = offenders[nu]
+            if x == t:
+                raise AssertionError("LLT column is not unitriangular at its label")
+            if not is_e_regular(nu, e):
+                raise AssertionError("LLT correction hit an e-singular label")
+            alpha, _ = bar_symmetric_split(LaurentPoly(v[x]))
+            _subtract_multiple(v, alpha, (yield nu))
     return v
+
+
+def _subtract_multiple(v, alpha, g):
+    """v -= alpha * g on packed terms, in place; g is left unchanged."""
+    for m, c in g.items():
+        for a, ca in alpha.coeffs.items():
+            _accumulate(v, m, {x: -ca * cx for x, cx in c.items()}, a)
+        if not v[m]:
+            del v[m]
 
 
 # -- Littlewood-Richardson coefficients -------------------------------------

@@ -59,7 +59,11 @@ def _dnum_one(lam, mu, e, method, engines):
         _closed_domain(mu, e)
         return d_closed(lam, mu, e)
     if method == "llt":
-        return llt_G(mu, e, engines.setdefault(("ctx", block_of(mu, e)), BlockContext(block_of(mu, e)))).coeff(lam)
+        b = block_of(mu, e)
+        ctx = engines.get(("ctx", b))
+        if ctx is None:
+            ctx = engines[("ctx", b)] = BlockContext(b)
+        return llt_G(mu, e, ctx).coeff(lam)
     if method == "rouquier":
         return rouquier_d(lam, mu, block_of(mu, e))
     if method == "inductive":

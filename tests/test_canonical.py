@@ -1,8 +1,14 @@
+import ast
+import inspect
 from functools import lru_cache
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import focktiles
+from focktiles import canonical, polytope
 from focktiles.partitions import EMPTY, all_partitions, is_e_regular, parse_partition
 from focktiles.abacus import (
     BlockId,
@@ -30,7 +36,7 @@ from focktiles.canonical import (
 )
 from focktiles.fock import FockVector, apply_E, apply_F, removable_beads
 from focktiles.labels import BlockContext, is_m_increasing, z_label
-from focktiles.laurent import LaurentPoly
+from focktiles.laurent import LaurentPoly, bar_symmetric_split
 from focktiles.polytope import d_closed, parallelotope_of
 
 
@@ -92,6 +98,128 @@ def test_pruned_monomials_match_unpruned_fold():
         pruned = block_ladder_monomials(seqs, b.e, ctx.members())
         for m in regs:
             assert pruned[m] == ladder_monomial(m, b.e)
+
+
+def _reference_column(mu, e, monomial, memo):
+    """G(mu) by the ladder construction: the monomial of mu, whose other
+    labels all lie below mu, minus bar-invariant multiples of the reference
+    columns of those whose coefficient is not in qZ[q], lexicographically
+    (hence dominance-) largest first."""
+    if mu not in memo:
+        v = monomial(mu, e)
+        assert v.coeff(mu) == LaurentPoly.one()
+        while True:
+            offenders = [nu for nu, c in v.terms.items() if nu != mu and not c.in_qZq()]
+            if not offenders:
+                break
+            nu = max(offenders, key=lambda p: p.parts)
+            alpha, _ = bar_symmetric_split(v.coeff(nu))
+            v = v - _reference_column(nu, e, monomial, memo).scale(alpha)
+        memo[mu] = v
+    return memo[mu]
+
+
+def test_llt_matches_ladder_reference_on_small_partitions():
+    # every e-regular partition with n <= 12 (n <= 11 at e = 2), e = 2..5
+    columns = 0
+    for e in (2, 3, 4, 5):
+        memo, ctxs = {}, {}
+        for n in range(12 if e == 2 else 13):
+            for mu in all_partitions(n):
+                if is_e_regular(mu, e):
+                    b = block_of(mu, e)
+                    G = llt_G(mu, e, ctxs.setdefault(b, BlockContext(b)))
+                    assert G == _reference_column(mu, e, ladder_monomial, memo), (mu, e)
+                    columns += 1
+    assert columns == 616
+
+
+@lru_cache(maxsize=None)
+def _large_cores(e):
+    """The e-cores with 41 to 70 nodes whose runner levels lie in a small box."""
+    span = range(-(8 // e + 2), 8 // e + 3)
+    cores = {core_from_levels(lv, e) for lv in product(span, repeat=e) if sum(lv) == 0}
+    return sorted((c for c in cores if 40 < c.size <= 70), key=lambda c: c.parts)
+
+
+@given(st.integers(2, 5), st.integers(1, 2), st.data())
+@settings(max_examples=20, deadline=None)
+def test_llt_matches_ladder_reference_on_large_cores(e, w, data):
+    b = BlockId(e, data.draw(st.sampled_from(_large_cores(e))), w)
+    ctx = BlockContext(b)
+    mu = data.draw(st.sampled_from([m for m in ctx.members() if is_e_regular(m, e)]))
+    assert llt_G(mu, e, ctx) == _reference_column(mu, e, ladder_monomial, {})
+
+
+def test_llt_eliminates_an_offender_above_the_label():
+    # the walk from (4,2,1) at e = 2 removes its normal 0-node; F_0 G((4,2))
+    # then has 1 + q^2 at the label and 1 at (5,2), which dominates it, so
+    # G((5,2)) must be subtracted before the label's coefficient is 1
+    mu = P("4,2,1")
+    v = apply_F(llt_G(P("4,2"), 2), 0, 1, 2)
+    assert v.coeff(mu) == LaurentPoly({0: 1, 2: 1}) and v.coeff(P("5,2")) == LaurentPoly.one()
+    G = llt_G(mu, 2)
+    assert G == v - llt_G(P("5,2"), 2)
+    assert G == FockVector({mu: 1, P("3,3,1"): q(1), P("3,2,2"): q(2), P("3,2,1,1"): q(3)})
+    assert G == _reference_column(mu, 2, ladder_monomial, {})
+
+
+def test_llt_matches_pruned_fold_reference_on_rouquier_72():
+    # the five (7,2) labels of the pruned-fold test below, core of 126 nodes
+    from focktiles._ladders import _Window, ladder_fold
+
+    b = BlockId(7, core_from_levels(tuple(range(7)), 7), 2)
+    ctx = BlockContext(b)
+    win = _Window(7, ctx.members())
+    fold = lambda m, e: ladder_fold(ladder_sequence(m, e), e, win)
+    regs = [m for m in ctx.members() if is_e_regular(m, 7)]
+    memo = {}
+    for mu in regs[:: len(regs) // 5][:5]:
+        assert llt_G(mu, 7, ctx) == _reference_column(mu, 7, fold, memo)
+
+
+def test_no_library_module_imports_ladders():
+    # _ladders is kept for the benchmark only
+    importers = []
+    for path in sorted(Path(focktiles.__file__).parent.glob("*.py")):
+        if path.stem == "_ladders":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "_ladders" for n in names):
+                importers.append(path.stem)
+    assert importers == []
+
+
+def _route_names(root):
+    """Every name read by root and by the canonical functions it reaches."""
+    seen, todo, names = set(), [root], set()
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(ast.parse(inspect.getsource(getattr(canonical, fn)))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+                obj = getattr(canonical, node.id, None)
+                if inspect.isfunction(obj) and obj.__module__ == canonical.__name__:
+                    todo.append(node.id)
+    return seen, names
+
+
+def test_llt_route_is_independent_of_the_other_routes():
+    fns, names = _route_names("llt_G")
+    assert {"_llt_column", "_crystal_column", "_dominance_max"} <= fns
+    polytope_names = {n for n, v in vars(polytope).items() if getattr(v, "__module__", None) == polytope.__name__}
+    assert not names & (polytope_names | {"polytope"})
+    assert not [n for n in names if n.startswith("rouquier_")]
+    assert not names & {"InductiveEngine", "exceptional_family"}
 
 
 def test_lr_coefficient():
