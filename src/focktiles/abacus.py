@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, combinations, product
 
 from .partitions import EMPTY, Partition
 
@@ -140,11 +140,6 @@ class Abacus:
         """Least position >= base congruent to r mod e."""
         return self.base + ((r - self.base) % self.e)
 
-    def runner_max(self, r):
-        """Greatest occupied position on runner r."""
-        m = self.mask & _runner(r, self.e, self.base, self.mask.bit_length())
-        return self.base + m.bit_length() - 1 if m else self.first_slot(r) - self.e
-
     def weight_of(self, b):
         """Number of unoccupied positions above b on its runner."""
         s = self.first_slot(b)
@@ -161,16 +156,6 @@ class Abacus:
         return self.base + gaps.bit_length() - 1
 
     # -- construction helpers ---------------------------------------------
-
-    @staticmethod
-    def from_occupied(e, occupied, low):
-        """Build from the occupied set restricted to [low, inf); every
-        position below low must be occupied."""
-        m = 0
-        for x in occupied:
-            if x >= low:
-                m |= 1 << (x - low)
-        return Abacus(e, low, m)
 
     def move_bead(self, x, y):
         """Slide the bead at x to the unoccupied position y."""
@@ -207,7 +192,7 @@ def partition_of(a):
     return partition_of_mask(a.mask)
 
 
-def _core_tops(runners, e):
+def _runner_tops(runners, e):
     """Top-bead position of each runner of the e-core, in the charge of the
     display whose `runner_slices` are given."""
     return [first + (bits.count("1") - 1) * e for first, bits in runners]
@@ -230,7 +215,7 @@ def core_quotient_weight(a):
     """
     runners = a.runner_slices()
     quot = tuple(_partition_of_bits(bits) for _, bits in runners)
-    return _core_from_tops(_core_tops(runners, a.e), a.e), quot, sum(q.size for q in quot)
+    return _core_from_tops(_runner_tops(runners, a.e), a.e), quot, sum(q.size for q in quot)
 
 
 class Facts:
@@ -302,10 +287,15 @@ def block_of(lam, e):
     return BlockId(e, f.core, f.weight)
 
 
+def core_tops(core, e):
+    """Top-bead position x_r of each runner r of an e-core, canonical charge;
+    x_r = r mod e, and x_r - r is e times the runner's level."""
+    return tuple(_runner_tops(abacus_of(core, e).runner_slices(), e))
+
+
 def core_levels(core, e):
-    """Runner levels (m_r - r)/e of a core, canonical charge."""
-    tops = _core_tops(abacus_of(core, e).runner_slices(), e)
-    return tuple((x - r) // e for r, x in enumerate(tops))
+    """Runner levels (x_r - r)/e of a core, canonical charge."""
+    return tuple(x // e for x in core_tops(core, e))
 
 
 def core_from_levels(levels, e):
@@ -314,17 +304,11 @@ def core_from_levels(levels, e):
 
 
 def _compositions(total, nparts):
-    if nparts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, nparts - 1):
-            yield (head,) + rest
-
-
-def partition_from_quotient(b, quot):
-    """Invert the e-quotient bijection inside the block b."""
-    return _from_levels(core_levels(b.core, b.e), quot)
+    """Every nparts-tuple of nonnegative integers summing to total: the gaps
+    between nparts - 1 bars placed among total + nparts - 1 slots."""
+    n = total + nparts - 1
+    for bars in combinations(range(n), nparts - 1):
+        yield tuple(j - i - 1 for i, j in zip((-1,) + bars, bars + (n,)))
 
 
 def _from_levels(levels, quot):
@@ -406,32 +390,41 @@ def crystal_F(a, i):
     return a.move_bead(t - 1, t)
 
 
-def core_reflection_counts(lv, e, i):
-    """(removable, addable) bead counts of a core, given its levels, for the
-    runner pair (i, i-1); at most one of the two is positive."""
-    i %= e
-    if i == 0:
-        k_rem = lv[0] - lv[e - 1] - 1
-        k_add = lv[e - 1] - lv[0] + 1
-    else:
-        k_rem = lv[i] - lv[i - 1]
-        k_add = lv[i - 1] - lv[i]
-    return max(0, k_rem), max(0, k_add)
+def _reflect(tops, a):
+    """(k, tops after s_a) for the core whose runner r ends at tops[r].
+
+    Runner a ends k = (x_a - x_{a-1} - 1) / e levels below runner a-1, where
+    x_{-1} is the top of runner e-1: it holds k removable beads for k > 0
+    and -k addable ones for k < 0.  s_a swaps the two runners' bead counts,
+    x_{a-1}, x_a = x_a - 1, x_{a-1} + 1, which keeps every residue and the
+    sum of the tops.
+    """
+    e = len(tops)
+    a %= e
+    out = list(tops)
+    out[a - 1], out[a] = tops[a] - 1, tops[a - 1] + 1
+    return (tops[a] - tops[a - 1] - 1) // e, tuple(out)
+
+
+def core_reflection_counts(tops, a):
+    """(removable, addable) bead counts on runner a of the core whose runner
+    r ends at tops[r]; at most one of the two is positive."""
+    k = _reflect(tops, a)[0]
+    return max(0, k), max(0, -k)
 
 
 def weyl_s(a, i):
     """The crystal Weyl-group action of the simple reflection s_i.
 
-    Runner i of the core of a ends k = (x_i - x_{i-1} - 1) / e levels above
-    runner i-1, where x are the top-bead positions (x_{-1} is runner e-1).
-    For k > 0 this is Etilde_i^k, which moves the first k normal beads down
-    one position; for k < 0 it is Ftilde_i^-k, which fills the last -k
-    conormal slots.  Both come from one matched signature.
+    Runner i of the core of a holds k removable beads (k > 0) or -k addable
+    ones (k < 0), read off its runner tops by `_reflect`.  For k > 0 this is
+    Etilde_i^k, which moves the first k normal beads down one position; for
+    k < 0 it is Ftilde_i^-k, which fills the last -k conormal slots.  Both
+    come from one matched signature.
     """
     e = a.e
     i %= e
-    tops = _core_tops(a.runner_slices(), e)
-    k = (tops[i] - tops[i - 1] - 1) // e
+    k = _reflect(_runner_tops(a.runner_slices(), e), i)[0]
     if k == 0:
         return a
     normals, slots = _matched_signature(a.mask, a.base, e, i)
@@ -463,25 +456,19 @@ def add_full_runner(lam, e):
 # -- Rouquier predicate and Scopes chains ----------------------------------
 
 
-def _shifted_levels(levels, c):
-    """Runner levels after a charge shift by c: runner s takes runner s - c,
-    one level higher when that runner wraps past e - 1."""
-    e = len(levels)
-    return tuple(levels[s - c] + (s < c) for s in range(e))
-
-
 def rouquier_charge(b):
     """Least charge shift making the core's runner gaps Rouquier-large.
 
-    Returns c in [0, e) such that the shifted display has at least w-1
-    more beads on every runner a in [1, e) than on runner a-1, or None
-    when no shift works.
+    Returns c in [0, e) such that the display shifted by c, whose runner r
+    ends at the one top x + c = r mod e, holds at least w-1 more beads on
+    every runner a in [1, e) than on runner a-1; None when no shift works.
     """
-    lv = core_levels(b.core, b.e)
+    e = b.e
+    tops = core_tops(b.core, e)
     need = max(b.weight - 1, 0)
-    for c in range(b.e):
-        sh = _shifted_levels(lv, c)
-        if all(sh[a] - sh[a - 1] >= need for a in range(1, b.e)):
+    for c in range(e):
+        shifted = sorted((x + c for x in tops), key=lambda x: x % e)
+        if all(_reflect(shifted, a)[0] >= need for a in range(1, e)):
             return c
     return None
 
@@ -490,40 +477,37 @@ def is_rouquier(b):
     return rouquier_charge(b) is not None
 
 
-def core_inversions(levels, e):
-    """The inversion table M of a core, given its runner levels.
+def core_inversions(tops):
+    """The inversion table M of the core whose runner r ends at tops[r].
 
-    With x_0 < ... < x_{e-1} the sorted top-bead positions r + e*levels[r],
-    M[i][j] = ceil((x_i - x_j) / e) - 1 for i > j (zero for i <= j) counts
-    the affine inversions between the i-th and j-th sorted runners.  Its
-    sum is the affine length, the number of cells with hook length < e, and
-    b <= kappa in the left weak order exactly when M(kappa) >= M(b)
-    entrywise.
+    With x_0 < ... < x_{e-1} the sorted tops, M[i][j] = ceil((x_i - x_j) / e)
+    - 1 for i > j (zero for i <= j) counts the affine inversions between the
+    i-th and j-th sorted runners.  Its sum is the affine length, the number
+    of cells with hook length < e, and b <= kappa in the left weak order
+    exactly when M(kappa) >= M(b) entrywise.
     """
-    x = sorted(r + e * lv for r, lv in enumerate(levels))
+    e = len(tops)
+    x = sorted(tops)
     return tuple(
         tuple(-((x[j] - x[i]) // e) - 1 if j < i else 0 for j in range(e))
         for i in range(e)
     )
 
 
-def affine_length(levels, e):
-    """Length of a core in the affine Weyl group: its cells with hook length < e."""
-    return sum(map(sum, core_inversions(levels, e)))
-
-
-def _rouquier_base(e, need, levels):
-    """Levels of a least-length Rouquier core above `levels` in the left
-    weak order, for runner gaps of at least `need`.
+def _rouquier_base(need, tops):
+    """Tops of a least-length Rouquier core above the core with the given
+    tops in the left weak order, for runner gaps of at least `need`.
 
     A Rouquier core has sorted tops x_t = x_0 + t + e*G_t with G_0 = 0 and
     gaps g_t = G_t - G_{t-1} >= need, so M[i][j] = G_i - G_j and its length
-    is sum g_t * t * (e - t); x_0 follows from the level sum.  The search
-    picks g_1, ..., g_{e-1} in turn, carrying for each later i the part of
-    the bound G_i - G_j >= M_b[i][j] (over every chosen j) still owed by
-    g_t + ... + g_i, and memoizes on that residue.
+    is sum g_t * t * (e - t); x_0 follows from the sum of the tops, which
+    every s_a keeps.  The search picks g_1, ..., g_{e-1} in turn, carrying
+    for each later i the part of the bound G_i - G_j >= M_b[i][j] (over
+    every chosen j) still owed by g_t + ... + g_i, and memoizes on that
+    residue.
     """
-    m = core_inversions(levels, e)
+    e = len(tops)
+    m = core_inversions(tops)
     memo = {}
 
     def best(t, owed):
@@ -546,15 +530,9 @@ def _rouquier_base(e, need, levels):
         return memo[key]
 
     _, gaps = best(1, tuple(max(m[i][0], need * i) for i in range(1, e)))
-    big = [0]
-    for g in gaps:
-        big.append(big[-1] + g)
-    x0 = sum(levels) - sum(big)
-    out = [0] * e
-    for t in range(e):
-        x = x0 + t + e * big[t]
-        out[x % e] = (x - x % e) // e
-    return tuple(out)
+    big = list(accumulate((0,) + gaps))
+    x0 = (sum(tops) - e * (e - 1) // 2) // e - sum(big)
+    return tuple(sorted((x0 + t + e * g for t, g in enumerate(big)), key=lambda x: x % e))
 
 
 def scopes_chain(b):
@@ -570,46 +548,31 @@ def scopes_chain(b):
     M[rank of runner a][rank of runner a-1], from k to k-1.  The chain is
     therefore reduced, of length l(B_0) - l(b).
     """
+    return scopes_chain_blocks(b)[1]
+
+
+def scopes_chain_blocks(b):
+    """The block sequence B_0, ..., B_n = b along scopes_chain(b), built from
+    the core tops the descent visits, and the chain itself."""
     e, w = b.e, b.weight
     if w < 1:
         raise ValueError("scopes_chain requires weight >= 1")
-    target = core_levels(b.core, e)
-    m_b = core_inversions(target, e)
-    goal = [r + e * lv for r, lv in enumerate(target)]
-    x = [r + e * lv for r, lv in enumerate(_rouquier_base(e, w - 1, target))]
+    goal = core_tops(b.core, e)
+    m_b = core_inversions(goal)
+    x = _rouquier_base(w - 1, goal)
     rank = [0] * e
     for i, r in enumerate(sorted(range(e), key=x.__getitem__)):
         rank[r] = i
-    chain = []
+    visited, chain = [x], []
     while x != goal:
         for a in range(e):
-            k = (x[a] - x[a - 1] - 1) // e
+            k, y = _reflect(x, a)
             if k > m_b[rank[a]][rank[a - 1]]:
                 break
         else:
             raise AssertionError("no reduced Scopes step toward the target")
         chain.append((a, k))
-        x[a - 1], x[a] = x[a] - 1, x[a - 1] + 1
+        visited.append(y)
+        x = y
         rank[a - 1], rank[a] = rank[a], rank[a - 1]
-    return chain
-
-
-def scopes_chain_blocks(b):
-    """The block sequence B_0, ..., B_n = b along scopes_chain(b)."""
-    chain = scopes_chain(b)
-    # replay backwards from b to find B_0's core, then forward
-    lv = core_levels(b.core, b.e)
-    e = b.e
-    cores_rev = [lv]
-    for a, k in reversed(chain):
-        lv2 = list(lv)
-        if a == 0:
-            lv2[0], lv2[e - 1] = lv[e - 1] + 1, lv[0] - 1
-        else:
-            lv2[a - 1], lv2[a] = lv[a], lv[a - 1]
-        lv = tuple(lv2)
-        cores_rev.append(lv)
-    blocks = [
-        BlockId(e, core_from_levels(v, e), b.weight) for v in reversed(cores_rev)
-    ]
-    return blocks, chain
+    return [BlockId(e, _core_from_tops(t, e), w) for t in visited], chain

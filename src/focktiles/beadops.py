@@ -239,7 +239,7 @@ def mullineux_crystal(lam, e):
     return _mullineux(lam, e)
 
 
-def mullineux_fast(lam, e, want_trace=False):
+def mullineux_fast(lam, e):
     """Mullineux image via conjugation plus one sweep of bead operations.
 
     Requires lam e-regular, 0-increasing and hook-quotient; the sweep is
@@ -255,4 +255,4 @@ def mullineux_fast(lam, e, want_trace=False):
         raise ValueError("mullineux_fast requires a hook-quotient partition")
     conj = conjugate(lam)
     w = len(z)
-    return move_along(conj, range(1, w + 1), e, want_trace=want_trace)
+    return move_along(conj, range(1, w + 1), e)

@@ -16,6 +16,7 @@ from .abacus import (
     abacus_of,
     block_of,
     core_quotient_weight,
+    core_tops,
     is_rouquier,
     mask_of,
     partition_of,
@@ -465,8 +466,7 @@ def exceptional_family(gen, pair):
         for j in range(k + 2)
     )
     # internal coordinates, read off the leading member in s_a(B)
-    kap_t = abacus_of(pair.tilde.core, e)
-    y0 = kap_t.runner_max(a % e) + e
+    y0 = core_tops(pair.tilde.core, e)[a % e] + e
     mvs = movements(upper[0], e)
     internal = []
     for g in range(k + 1):

@@ -67,9 +67,6 @@ class FockVector:
     def coeff(self, lam):
         return self.terms.get(lam, LaurentPoly.zero())
 
-    def bar(self):
-        return FockVector({lam: c.bar() for lam, c in self.terms.items()})
-
     def support(self):
         return sorted(self.terms, key=lambda p: p.parts, reverse=True)
 

@@ -106,37 +106,6 @@ class LaurentPoly:
         """True iff every exponent is strictly positive."""
         return all(e > 0 for e in self.coeffs)
 
-    def exact_div(self, other):
-        """Exact division in Z[q, q^-1]; raises if the quotient is not exact."""
-        other = LaurentPoly.of(other)
-        if not other:
-            raise ZeroDivisionError("division by zero Laurent polynomial")
-        if not self:
-            return _ZERO
-        # reduce to ordinary polynomial division by clearing minimal exponents
-        num = dict(self.coeffs)
-        den = dict(other.coeffs)
-        shift = self.min_exp() - other.min_exp()
-        num = {e - self.min_exp(): c for e, c in num.items()}
-        den = {e - other.min_exp(): c for e, c in den.items()}
-        dd = max(den)
-        lead = den[dd]
-        quot = {}
-        while num:
-            nd = max(num)
-            if nd < dd:
-                raise ArithmeticError("inexact Laurent division")
-            c, r = divmod(num[nd], lead)
-            if r:
-                raise ArithmeticError("inexact Laurent division")
-            quot[nd - dd] = c
-            for e, dc in den.items():
-                k = nd - dd + e
-                num[k] = num.get(k, 0) - c * dc
-                if not num[k]:
-                    del num[k]
-        return _wrap({e + shift: c for e, c in quot.items()})
-
     def to_pairs(self):
         """JSON form: [[exp, coeff], ...] sorted by exponent."""
         return [[e, self.coeffs[e]] for e in sorted(self.coeffs)]

@@ -203,12 +203,10 @@ def parse_partition(text):
     return Partition(parts)
 
 
-def format_partition(lam, exponents=True):
+def format_partition(lam):
     """Render a partition in the shared text format."""
     if not lam.parts:
         return "0"
-    if not exponents:
-        return ",".join(str(p) for p in lam.parts)
     out = []
     i = 0
     parts = lam.parts

@@ -126,22 +126,6 @@ def _pi_route(lam, mu, e):
     return gamma, LaurentPoly.monomial(len(gamma))
 
 
-def d_closed_detail(lam, mu, e):
-    """Both routes of the closed formula, plus the hypothesis status."""
-    out = {
-        "same_block": block_of(lam, e) == block_of(mu, e),
-        "hook_quotient": is_hook_quotient(lam, e),
-        "mu_4_increasing": is_m_increasing(z_label(mu, e), 4),
-        "gamma": None,
-        "pi_value": LaurentPoly.zero(),
-        "cube_value": LaurentPoly.zero(),
-    }
-    if out["same_block"] and out["hook_quotient"]:
-        out["gamma"], out["pi_value"] = _pi_route(lam, mu, e)
-        out["cube_value"] = _cube_value(lam, mu, e, out["gamma"])
-    return out
-
-
 def d_closed(lam, mu, e):
     """q^{d_lambda(mu)} if lam is hook-quotient and z(mu) in Pi(lam), else 0.
 

@@ -255,7 +255,7 @@ def ac2():
 
 def ac3():
     """Inductive columns equal closed columns; E/F annihilation at the pair."""
-    from .abacus import core_levels, core_reflection_counts
+    from .abacus import core_reflection_counts, core_tops
 
     per_weight = {}
     engines = {}
@@ -266,10 +266,10 @@ def ac3():
         if not mus:
             continue
         # every runner pair for which b sits on the removable-bead side
-        lv = core_levels(b.core, b.e)
+        tops = core_tops(b.core, b.e)
         pairs = []
         for a in range(b.e):
-            k_rem, _ = core_reflection_counts(lv, b.e, a)
+            k_rem, _ = core_reflection_counts(tops, a)
             if k_rem >= 1:
                 pairs.append((a, k_rem))
         for mu in mus:

@@ -7,9 +7,10 @@ from focktiles.partitions import EMPTY, Partition, all_partitions, conjugate, pa
 from focktiles.abacus import (
     Abacus,
     BlockId,
+    _from_levels,
+    _reflect,
     abacus_of,
     add_full_runner,
-    affine_length,
     block_of,
     core_from_levels,
     core_inversions,
@@ -17,11 +18,11 @@ from focktiles.abacus import (
     core_of,
     core_quotient_weight,
     core_reflection_counts,
+    core_tops,
     crystal_E,
     crystal_F,
     enumerate_block,
     is_rouquier,
-    partition_from_quotient,
     partition_of,
     quotient_of,
     rouquier_charge,
@@ -101,10 +102,6 @@ class _BeadSet:
     def runner_positions(self, r):
         return tuple(sorted(x for x in self.occ if x >= self.base() and x % self.e == r % self.e))
 
-    def runner_max(self, r):
-        below = self.low - 1 - (self.low - 1 - r) % self.e
-        return max([below] + [x for x in self.occ if x % self.e == r % self.e])
-
     def weight_of(self, b):
         return sum(1 for t in range(b - self.e, self.low - 1, -self.e) if not self.occupied(t))
 
@@ -119,6 +116,12 @@ class _BeadSet:
                       reverse=True)
 
 
+def _from_occupied(e, occupied, low):
+    """The abacus whose beads at or above low are the positions of occupied;
+    every position below low is a bead."""
+    return Abacus(e, low, sum(1 << (x - low) for x in set(occupied) if x >= low))
+
+
 @st.composite
 def _bead_sets(draw):
     e = draw(st.integers(2, 6))
@@ -131,7 +134,7 @@ def _bead_sets(draw):
 @settings(max_examples=200, deadline=None)
 def test_abacus_matches_bead_set_model(model, data):
     e, low = model.e, model.low
-    a = Abacus.from_occupied(e, model.occ, low)
+    a = _from_occupied(e, model.occ, low)
     span = range(low - 2 * e, low + 45 + 2 * e)
     assert a.base == model.base()
     assert a.window == tuple(sorted(x for x in model.occ if x >= a.base))
@@ -142,7 +145,6 @@ def test_abacus_matches_bead_set_model(model, data):
         assert first % e == r % e and a.base <= first < a.base + e
         beads = tuple(first + j * e for j, bit in enumerate(bits) if bit == "1")
         assert beads == model.runner_positions(r)
-        assert a.runner_max(r) == model.runner_max(r)
     for x in span:
         if model.occupied(x) and x >= low:
             assert a.weight_of(x) == model.weight_of(x)
@@ -154,10 +156,10 @@ def test_abacus_matches_bead_set_model(model, data):
             assert a.prev_gap(x) == gap
     # the same beta-set over a lower offset normalizes to the same abacus
     d = data.draw(st.integers(1, 12))
-    b = Abacus.from_occupied(e, model.occ | set(range(low - d, low)), low - d)
+    b = _from_occupied(e, model.occ | set(range(low - d, low)), low - d)
     assert b == a and hash(b) == hash(a)
     c = data.draw(st.integers(-7, 7))
-    shifted = Abacus.from_occupied(e, {x + c for x in model.occ}, low + c)
+    shifted = _from_occupied(e, {x + c for x in model.occ}, low + c)
     assert a.shift(c) == shifted and hash(a.shift(c)) == hash(shifted)
     # simultaneous moves: beads to gaps, anywhere in the span
     beads = [x for x in span if model.occupied(x)]
@@ -167,7 +169,7 @@ def test_abacus_matches_bead_set_model(model, data):
     ys = data.draw(st.lists(st.sampled_from(gaps), min_size=k, max_size=k, unique=True))
     lower = span[0]
     moved = (model.occ | set(range(lower, low))) - set(xs) | set(ys)
-    assert a.move_beads(list(zip(xs, ys))) == Abacus.from_occupied(e, moved, lower)
+    assert a.move_beads(list(zip(xs, ys))) == _from_occupied(e, moved, lower)
     with pytest.raises(ValueError):
         a.move_beads([(ys[0], xs[0])])
 
@@ -205,7 +207,7 @@ def test_enumerate_block_is_bijective():
         quots = [quotient_of(lam, b.e) for lam in members]
         for lam, quot in zip(members, quots):
             assert block_of(lam, b.e) == b
-            assert partition_from_quotient(b, quot) == lam
+            assert _from_levels(core_levels(b.core, b.e), quot) == lam
         want = _multipartitions(b.weight, b.e)
         assert len(quots) == len(want) and set(quots) == set(want)
 
@@ -251,10 +253,8 @@ def test_weyl_action():
 
 
 def _weyl_s_reference(a, i):
-    """s_i as k single crystal steps, k read off the core's runner levels."""
-    e = a.e
-    lv = core_levels(core_of(partition_of(a), e), e)
-    k_rem, k_add = core_reflection_counts(lv, e, i)
+    """s_i as k single crystal steps, k read off the core's runner tops."""
+    k_rem, k_add = core_reflection_counts(core_tops(core_of(partition_of(a), a.e), a.e), i)
     op = crystal_E if k_rem else crystal_F
     for _ in range(k_rem or k_add):
         a = op(a, i)
@@ -317,7 +317,7 @@ def _add_full_runner_reference(lam, e):
                 occ.add(r * (e + 1) + s)
         if r < n * e:
             occ.add(r * (e + 1) + e)
-    return partition_of(Abacus.from_occupied(e + 1, occ, r_lo * (e + 1)))
+    return partition_of(_from_occupied(e + 1, occ, r_lo * (e + 1)))
 
 
 @given(large_parts, st.integers(2, 7))
@@ -369,6 +369,55 @@ def test_rouquier_predicate():
     assert is_rouquier(BlockId(3, parse_partition("2"), 1))
 
 
+def _small_cores(e, max_size=12):
+    return [lam for n in range(max_size + 1) for lam in all_partitions(n) if weight_of(lam, e) == 0]
+
+
+def _rouquier_charge_reference(core, e, w):
+    """Least c whose display abacus_of(core, e).shift(c) holds at least w-1
+    more beads on runner a than on runner a-1 for a = 1, ..., e-1, counting
+    every runner from one row below which all positions are beads."""
+    for c in range(e):
+        a = abacus_of(core, e).shift(c)
+        beads = [0] * e
+        for x in range(a.base - a.base % e, a.max_occupied() + 1):
+            beads[x % e] += a.occupied(x)
+        if all(beads[r] - beads[r - 1] >= w - 1 for r in range(1, e)):
+            return c
+    return None
+
+
+def test_rouquier_charge_matches_bead_counts():
+    seen = set()
+    for e in range(2, 7):
+        for core in _small_cores(e):
+            for w in range(1, 5):
+                c = _rouquier_charge_reference(core, e, w)
+                assert rouquier_charge(BlockId(e, core, w)) == c
+                seen.add(c)
+    assert None in seen and seen - {None, 0}
+
+
+def _residue_nodes(lam, e, a):
+    """(removable, addable) nodes of lam whose content is a mod e."""
+    p = list(lam.parts) + [0]
+    rem = sum(1 for i in range(len(p) - 1) if p[i] > p[i + 1] and (p[i] - i - 1) % e == a)
+    add = sum(1 for i in range(len(p)) if (i == 0 or p[i] < p[i - 1]) and (p[i] - i) % e == a)
+    return rem, add
+
+
+def test_core_reflection_counts_match_weyl_s():
+    for e in range(2, 7):
+        for core in _small_cores(e):
+            tops = core_tops(core, e)
+            for a in range(e):
+                k_rem, k_add = core_reflection_counts(tops, a)
+                assert (k_rem, k_add) == _residue_nodes(core, e, a) and min(k_rem, k_add) == 0
+                image = partition_of(weyl_s(abacus_of(core, e), a))
+                assert image.size == core.size - k_rem + k_add
+                assert core_tops(image, e) == _reflect(tops, a)[1]
+
+
 def test_scopes_chain():
     rb = BlockId(3, core_from_levels((0, 1, 2), 3), 2)
     assert scopes_chain(rb) == []
@@ -380,8 +429,7 @@ def test_scopes_chain():
         assert len(blocks) == len(chain) + 1
         # replay forward: each step must have k removable beads on runner a
         for i, (a, k) in enumerate(chain):
-            lv = core_levels(blocks[i].core, b.e)
-            k_rem, _ = core_reflection_counts(lv, b.e, a)
+            k_rem, _ = core_reflection_counts(core_tops(blocks[i].core, b.e), a)
             assert k_rem == k >= 1
             stepped = partition_of(weyl_s(abacus_of(blocks[i].core, b.e), a))
             assert stepped == blocks[i + 1].core
@@ -397,9 +445,14 @@ def _hook_length(core, e):
     )
 
 
+def _affine_length(tops):
+    """Length of a core in the affine Weyl group: the sum of its inversion table."""
+    return sum(map(sum, core_inversions(tops)))
+
+
 def _weak_leq(b, kappa, e):
-    mb = core_inversions(core_levels(b, e), e)
-    mk = core_inversions(core_levels(kappa, e), e)
+    mb = core_inversions(core_tops(b, e))
+    mk = core_inversions(core_tops(kappa, e))
     return all(x >= y for rk, rb in zip(mk, mb) for x, y in zip(rk, rb))
 
 
@@ -419,7 +472,7 @@ def test_weak_order_is_descent_reachability(e, max_len):
     length = {c: _hook_length(c, e) for c in cores}
     below = {}
     for c in sorted(cores, key=length.get):
-        assert affine_length(core_levels(c, e), e) == length[c]
+        assert _affine_length(core_tops(c, e)) == length[c]
         down = {c}
         for a in range(e):
             d = partition_of(weyl_s(abacus_of(c, e), a))
@@ -492,6 +545,6 @@ def test_scopes_chain_e10_base():
     blocks, chain = scopes_chain_blocks(b)
     base = blocks[0].core
     assert len(chain) == 323
-    assert _hook_length(base, 10) == affine_length(core_levels(base, 10), 10) == 330
+    assert _hook_length(base, 10) == _affine_length(core_tops(base, 10)) == 330
     assert base.size == 1815
     assert sum(k for _, k in chain) == base.size - b.core.size

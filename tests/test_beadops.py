@@ -72,7 +72,7 @@ def _abacus_from_grid(grid, e=10, first_row=-6):
     occ = {c + e * r for (c, r) in grid}
     low = e * (first_row - 1)
     occ |= set(range(low, e * first_row))
-    return Abacus.from_occupied(e, occ, low)
+    return Abacus(e, low, sum(1 << (x - low) for x in occ if x >= low))
 
 
 def test_omnibus_figure_scenario():

@@ -127,6 +127,12 @@ def test_long_mullineux_query():
     assert code == 0 and out.startswith("[")
 
 
+def test_block_on_many_runners():
+    # one member per runner at weight 1: enumeration must not recurse per runner
+    code, out, _ = _capture(["block", "--e", "1200", "0", "1"])
+    assert code == 0 and len(out.splitlines()) == 1200
+
+
 def test_python_m_entry_point():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)

@@ -139,14 +139,14 @@ def test_adjointness_bookkeeping():
 
 def test_nonexceptional_equivalences():
     # F(lam) = 0 iff E^(k)(lam) = s_a(lam) iff F^(k)(s_a lam) = lam iff E(s_a lam) = 0
-    from focktiles.abacus import abacus_of, core_levels, core_of, core_reflection_counts, partition_of, weyl_s
+    from focktiles.abacus import abacus_of, core_of, core_reflection_counts, core_tops, partition_of, weyl_s
 
     for n in range(0, 11):
         for lam in all_partitions(n):
             for e in (2, 3):
-                lv = core_levels(core_of(lam, e), e)
+                tops = core_tops(core_of(lam, e), e)
                 for a in range(e):
-                    k, _ = core_reflection_counts(lv, e, a)
+                    k, _ = core_reflection_counts(tops, a)
                     if k < 1:
                         continue
                     lt = partition_of(weyl_s(abacus_of(lam, e), a))

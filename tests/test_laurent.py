@@ -53,16 +53,6 @@ def test_bar_symmetric_split_properties(c):
     assert all(alpha.coeff(-e) == c.coeff(-e) for e in range(0, 8))
 
 
-def test_exact_division():
-    q = LaurentPoly.monomial
-    a = (q(-1) + 1 + q(1)) * (q(2) - 3)
-    assert a.exact_div(q(2) - 3) == q(-1) + 1 + q(1)
-    with pytest.raises(ArithmeticError):
-        (q(1) + 1).exact_div(q(1) - 1)
-    with pytest.raises(ZeroDivisionError):
-        q(1).exact_div(LaurentPoly.zero())
-
-
 def test_rendering():
     q = LaurentPoly.monomial
     assert str(q(2) + 1 + q(-2)) == "q^2 + 1 + q^-2"

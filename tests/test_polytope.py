@@ -11,8 +11,8 @@ from focktiles.polytope import (
     check_common_faces,
     check_cube_injectivity,
     check_discrete_union,
+    _pi_route,
     d_closed,
-    d_closed_detail,
     export_tiling,
     ext_adjacency,
     hypercube_of,
@@ -56,13 +56,10 @@ def test_d_closed_examples():
 
 def test_d_closed_outside_hypotheses():
     # mu = (5) at e = 2 is not 0-increasing: the raw formula value is q^2
-    # even though the true decomposition number vanishes; the detail report
-    # carries the hypothesis flag and both route values.
+    # even though the true decomposition number vanishes.
     lam, mu = P("3,2"), P("5")
-    detail = d_closed_detail(lam, mu, 2)
-    assert not detail["mu_4_increasing"]
-    assert detail["gamma"] == frozenset({1, 2})
-    assert detail["pi_value"] == q(2)
+    assert not is_m_increasing(z_label(mu, 2), 4)
+    assert _pi_route(lam, mu, 2) == (frozenset({1, 2}), q(2))
     assert rouquier_d(lam, mu, block_of(mu, 2)) == LaurentPoly.zero()
 
 
