@@ -48,7 +48,7 @@ from .beadops import (
     mullineux_crystal,
     mullineux_fast,
 )
-from .polytope import Parallelotope, Hypercube, Tiling, pi_membership, d_closed, build_tiling, ext_adjacency, export_tiling
+from .polytope import Parallelotope, Tiling, pi_membership, d_closed, build_tiling, ext_adjacency, export_tiling
 from .canonical import ladder_sequence, llt_G, lr_coefficient, rouquier_d, exceptional_family, inductive_G
 
 __version__ = "0.1.0"

@@ -564,7 +564,8 @@ def scopes_chain_blocks(b):
     for i, r in enumerate(sorted(range(e), key=x.__getitem__)):
         rank[r] = i
     visited, chain = [x], []
-    while x != goal:
+    # a reduced chain has l(B_0) - l(b) steps; a longer walk is a fault
+    for _ in range(sum(map(sum, core_inversions(x))) - sum(map(sum, m_b))):
         for a in range(e):
             k, y = _reflect(x, a)
             if k > m_b[rank[a]][rank[a - 1]]:
@@ -575,4 +576,6 @@ def scopes_chain_blocks(b):
         visited.append(y)
         x = y
         rank[a - 1], rank[a] = rank[a], rank[a - 1]
+    if x != goal:
+        raise AssertionError("the Scopes descent did not reach the target core")
     return [BlockId(e, _core_from_tops(t, e), w) for t in visited], chain

@@ -106,9 +106,11 @@ def move_one(lam, r, e, detail=None):
     0-increasing label of the block.  A dict passed as `detail` receives the
     internals (sigma, g, k, l and the landing positions).
     """
+    if not 1 <= r <= len(movements(lam, e)):
+        raise IndexError("movement index out of range")
     if not is_hook_quotient(lam, e):
         raise MoveError("move_one requires a hook-quotient partition")
-    target = vec_add(z_label(lam, e), modified_basis(lam, e).plain[r - 1])
+    target = vec_add(z_label(lam, e), modified_basis(lam, e)[r - 1])
     if not is_m_increasing(target, 0) or any(t < 0 or t > e - 1 for t in target):
         raise MoveError("target label is not realizable 0-increasing", label=target)
     mu = _move_one_raw(lam, r, e, detail=detail)
@@ -133,7 +135,7 @@ def move_along(lam, gamma, e, want_trace=False):
         raise IndexError("movement index out of range")
     if not is_hook_quotient(lam, e):
         raise MoveError("move_along requires a hook-quotient partition")
-    basis = modified_basis(lam, e).plain
+    basis = modified_basis(lam, e)
     target = z_label(lam, e)
     for r in gamma:
         target = vec_add(target, basis[r - 1])

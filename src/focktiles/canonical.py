@@ -488,9 +488,9 @@ def exceptional_family(gen, pair):
     mb_l = modified_basis(lower[0], e)
     ext_eps = {}
     for x in external:
-        if mb_u.plain[x - 1] != mb_l.plain[x - 1]:
+        if mb_u[x - 1] != mb_l[x - 1]:
             raise AssertionError("external eps is not constant on the family")
-        ext_eps[x] = mb_u.plain[x - 1]
+        ext_eps[x] = mb_u[x - 1]
     z0 = z_label(lower[0], e)
     if z0 != z_label(upper[0], e):
         raise AssertionError("z(lambda^0) != z(lambdatilde^0)")

@@ -9,7 +9,7 @@ import sys
 from .abacus import BlockId, block_of, core_of, quotient_of
 from .beadops import MoveError, lambda_of_hook, move_along, move_one, mullineux_crystal, mullineux_fast
 from .canonical import InductiveEngine, llt_G, rouquier_d
-from .labels import BlockContext, hat_z, is_m_increasing, modified_basis, z_label
+from .labels import BlockContext, hat_z, is_m_increasing, lifted_json, modified_basis, z_label
 from .partitions import format_partition, hooks_e, parse_partition
 from .polytope import build_tiling, d_closed, export_tiling, pi_membership
 from . import verify as verify_mod
@@ -146,12 +146,12 @@ def _dispatch(args):
             z = z_label(lam, e)
             _emit(args, _vec(z), {"z": list(z)})
         elif v == "hatz":
-            h = hat_z(lam, e)
-            _emit(args, json.dumps(h.to_json(), sort_keys=True), h.to_json())
+            h = lifted_json(hat_z(lam, e))
+            _emit(args, json.dumps(h, sort_keys=True), h)
         elif v == "epsilon":
             mb = modified_basis(lam, e)
-            _emit(args, "[" + ",".join(_vec(x) for x in mb.plain) + "]",
-                  {"epsilon": [list(x) for x in mb.plain]})
+            _emit(args, "[" + ",".join(_vec(x) for x in mb) + "]",
+                  {"epsilon": [list(x) for x in mb]})
         elif v == "mullineux":
             out = mullineux_crystal(lam, e) if args.algo == "crystal" else mullineux_fast(lam, e)
             _emit(args, _plist(out), {"mullineux": list(out.parts)})

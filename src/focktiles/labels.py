@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import isqrt
 
 from .abacus import enumerate_block, facts, quotient_of
 
@@ -102,88 +104,27 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class HatVec:
-    """Element of the rank w(w+1)/2 lattice spanned by e_i and e_ij (i<j)."""
-
-    diag: tuple
-    upper: tuple = ()  # sorted tuple of ((i, j), coeff) with i < j, coeff != 0
-
-    @staticmethod
-    def make(diag, upper_map=None):
-        upper = tuple(sorted((k, v) for k, v in (upper_map or {}).items() if v))
-        return HatVec(tuple(diag), upper)
-
-    def upper_map(self):
-        return dict(self.upper)
-
-    def __add__(self, other):
-        um = self.upper_map()
-        for k, v in other.upper:
-            um[k] = um.get(k, 0) + v
-        return HatVec.make(vec_add(self.diag, other.diag), um)
-
-    def __sub__(self, other):
-        um = self.upper_map()
-        for k, v in other.upper:
-            um[k] = um.get(k, 0) - v
-        return HatVec.make(vec_sub(self.diag, other.diag), um)
-
-    def __neg__(self):
-        return HatVec.make(tuple(-x for x in self.diag), {k: -v for k, v in self.upper})
-
-    def norm(self):
-        """Box norm: sum of absolute coordinates."""
-        return sum(abs(x) for x in self.diag) + sum(abs(v) for _, v in self.upper)
-
-    def project(self):
-        """p: e_i -> e_i, e_ij -> e_i - e_j."""
-        out = list(self.diag)
-        for (i, j), v in self.upper:
-            out[i - 1] += v
-            out[j - 1] -= v
-        return tuple(out)
-
-    def to_json(self):
-        return {"diag": list(self.diag), "upper": [[i, j, v] for (i, j), v in self.upper]}
-
-
-def lift_unit(w, i, j=None):
-    """ehat for e_i (j None) or for e_i - e_j."""
-    if j is None:
-        return HatVec.make(_unit(w, i))
-    if i < j:
-        return HatVec.make((0,) * w, {(i, j): 1})
-    return HatVec.make((0,) * w, {(j, i): -1})
-
-
-@dataclass(frozen=True)
-class ModifiedBasis:
-    """Per-movement basis vectors eps_i and their lifts."""
-
-    plain: tuple  # w vectors in Z^w
-    lifted: tuple  # w HatVec
-
-
 def modified_basis(lam, e):
+    """The modified basis vectors eps_1, ..., eps_w of hook-quotient lam.
+
+    Along each runner chain eps_i is e_i at the first movement of the
+    runner's bottom bead, else e_i - e_j with j the chain neighbour of i
+    toward that movement."""
     f = _moved(lam, e)
     if f.modified is not None:
         return f.modified
     if not is_hook_quotient(lam, e):
         raise ValueError("modified basis needs a hook-quotient partition")
     w = len(f.movements)
-    plain = [None] * w
-    lifted = [None] * w
+    eps = [None] * w
     for idx, l in f.chains.values():
         for g, i in enumerate(idx):
             if g == l:
-                plain[i - 1] = _unit(w, i)
-                lifted[i - 1] = lift_unit(w, i)
+                eps[i - 1] = _unit(w, i)
             else:
                 j = idx[g + 1] if g < l else idx[g - 1]
-                plain[i - 1] = vec_sub(_unit(w, i), _unit(w, j))
-                lifted[i - 1] = lift_unit(w, i, j)
-    f.modified = ModifiedBasis(plain=tuple(plain), lifted=tuple(lifted))
+                eps[i - 1] = vec_sub(_unit(w, i), _unit(w, j))
+    f.modified = tuple(eps)
     return f.modified
 
 
@@ -230,26 +171,63 @@ def succ_maximal(lam, e, subset):
 
 
 # -- lifted labels ----------------------------------------------------------
+#
+# A lifted vector lies in the rank w(w+1)/2 lattice spanned by e_i and e_ij
+# (i < j): it is the integer tuple of its w coordinates on e_1, ..., e_w,
+# then its coordinates on e_ij for i < j in lexicographic order.
+
+
+def _pairs(v):
+    """The e_i part of the lifted vector v, and ((i, j), coefficient of
+    e_ij) for its pairs, 0-based."""
+    w = (isqrt(8 * len(v) + 1) - 1) // 2
+    return v[:w], zip(combinations(range(w), 2), v[w:])
+
+
+def lift(eps):
+    """The lift of a modified basis vector: e_i -> e_i, and e_i - e_j ->
+    e_ij when i < j, -e_ji when i > j."""
+    w = len(eps)
+    if -1 not in eps:
+        return tuple(eps) + (0,) * (w * (w - 1) // 2)
+    i, j = eps.index(1), eps.index(-1)
+    pair, sign = ((i, j), 1) if i < j else ((j, i), -1)
+    return (0,) * w + tuple(sign if p == pair else 0 for p in combinations(range(w), 2))
+
+
+def project(v):
+    """p: e_i -> e_i, e_ij -> e_i - e_j."""
+    diag, pairs = _pairs(v)
+    out = list(diag)
+    for (i, j), c in pairs:
+        out[i] += c
+        out[j] -= c
+    return tuple(out)
+
+
+def lifted_json(v):
+    """{"diag": the e_i coordinates, "upper": [i, j, c] for every e_ij with
+    c != 0, 1-based, in lexicographic order}."""
+    diag, pairs = _pairs(v)
+    return {"diag": list(diag), "upper": [[i + 1, j + 1, c] for (i, j), c in pairs if c]}
 
 
 def hat_z(lam, e):
-    """The lifted label zhat(lam); p(zhat) = z."""
+    """The lifted label zhat(lam), a lifted vector with p(zhat) = z."""
     f = _moved(lam, e)
     if f.hat_z is not None:
         return f.hat_z
     mvs = f.movements
-    w = len(mvs)
     diag = list(z_label(lam, e))
-    upper = {}
-    for i in range(1, w + 1):
-        for j in range(i + 1, w + 1):
-            qi, qj = mvs[i - 1].q, mvs[j - 1].q
-            bi, bj = mvs[i - 1].b, mvs[j - 1].b
-            if qi > qj - e or (qi == qj - e and bi == bj):
-                diag[i - 1] -= 1
-                diag[j - 1] += 1
-                upper[(i, j)] = upper.get((i, j), 0) + 1
-    f.hat_z = HatVec.make(tuple(diag), upper)
+    upper = []
+    for i, j in combinations(range(len(mvs)), 2):
+        qi, qj = mvs[i].q, mvs[j].q
+        c = qi > qj - e or (qi == qj - e and mvs[i].b == mvs[j].b)
+        if c:
+            diag[i] -= 1
+            diag[j] += 1
+        upper.append(int(c))
+    f.hat_z = tuple(diag) + tuple(upper)
     return f.hat_z
 
 

@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .abacus import block_of
 from .labels import (
     BlockContext,
-    HatVec,
     expand_in_basis,
     hat_z,
     is_hook_quotient,
     is_m_increasing,
+    lift,
+    lifted_json,
     modified_basis,
+    project,
     vec_add,
+    vec_sub,
     z_label,
 )
 from .laurent import LaurentPoly
@@ -22,66 +27,31 @@ from .laurent import LaurentPoly
 
 @dataclass(frozen=True)
 class Parallelotope:
-    """Pi(lambda): the 2^w labels z(lambda) + eps_Gamma."""
+    """Pi(lambda), the 2^w labels z(lambda) + eps_Gamma, or its lift
+    C(lambda), anchored at zhat(lambda) with the lifted eps as generators."""
 
     anchor: tuple
-    generators: tuple  # w vectors in Z^w
+    generators: tuple
     owner: object
 
     def vertices(self):
+        """anchor + the sum of the generators in Gamma, for every Gamma; the
+        vertex of Gamma is at index sum(2^(i-1) for i in Gamma)."""
         verts = [self.anchor]
-        w = len(self.generators)
-        for mask in range(1, 1 << w):
-            v = self.anchor
-            for i in range(w):
-                if mask >> i & 1:
-                    v = vec_add(v, self.generators[i])
-            verts.append(v)
+        for g in self.generators:
+            verts += [vec_add(v, g) for v in verts]
         if len(set(verts)) != len(verts):
             raise AssertionError("parallelotope vertices are not distinct")
         return verts
 
-    def vertex(self, gamma):
-        v = self.anchor
-        for i in gamma:
-            v = vec_add(v, self.generators[i - 1])
-        return v
-
-
-@dataclass(frozen=True)
-class Hypercube:
-    """C(lambda): the lift of Pi(lambda) anchored at zhat(lambda)."""
-
-    anchor: HatVec
-    generators: tuple  # w HatVec
-    owner: object
-
-    def vertices(self):
-        w = len(self.generators)
-        verts = []
-        for mask in range(1 << w):
-            v = self.anchor
-            for i in range(w):
-                if mask >> i & 1:
-                    v = v + self.generators[i]
-            verts.append(v)
-        if len(set(verts)) != len(verts):
-            raise AssertionError("hypercube vertices are not distinct")
-        return verts
-
-    def vertex(self, gamma):
-        v = self.anchor
-        for i in gamma:
-            v = v + self.generators[i - 1]
-        return v
-
 
 def parallelotope_of(lam, e):
-    return Parallelotope(anchor=z_label(lam, e), generators=modified_basis(lam, e).plain, owner=lam)
+    return Parallelotope(anchor=z_label(lam, e), generators=modified_basis(lam, e), owner=lam)
 
 
 def hypercube_of(lam, e):
-    return Hypercube(anchor=hat_z(lam, e), generators=modified_basis(lam, e).lifted, owner=lam)
+    """C(lambda): the lift of Pi(lambda)."""
+    return Parallelotope(hat_z(lam, e), tuple(lift(v) for v in modified_basis(lam, e)), lam)
 
 
 def pi_membership(lam, target, e):
@@ -102,28 +72,20 @@ def pi_membership(lam, target, e):
     return frozenset(i + 1 for i, c in enumerate(coeffs) if c)
 
 
-def _cube_value(lam, mu, e, gamma):
+def _cube_value(lam, mu, e):
     """The hypercube route: q^|zhat(mu) - zhat(lam)| when zhat(mu) is a
-    vertex of C(lam), else 0.  gamma, the parallelotope answer, is tried
-    first; otherwise all 2^w vertices are searched."""
+    vertex of C(lam), else 0."""
     zl, zm = hat_z(lam, e), hat_z(mu, e)
-    cube = hypercube_of(lam, e)
-    w = len(cube.generators)
-    if gamma is not None and cube.vertex(sorted(gamma)) == zm:
-        return LaurentPoly.monomial((zm - zl).norm())
-    for mask in range(1 << w):
-        if cube.vertex([i + 1 for i in range(w) if mask >> i & 1]) == zm:
-            return LaurentPoly.monomial((zm - zl).norm())
+    if zm in hypercube_of(lam, e).vertices():
+        return LaurentPoly.monomial(sum(map(abs, vec_sub(zm, zl))))
     return LaurentPoly.zero()
 
 
 def _pi_route(lam, mu, e):
-    """(Gamma, q^|Gamma|) of the parallelotope route for hook-quotient lam
-    in the block of mu; (None, 0) when z(mu) is not a vertex of Pi(lam)."""
+    """The parallelotope route for hook-quotient lam in the block of mu:
+    q^|Gamma| when z(mu) = z(lam) + eps_Gamma, else 0."""
     gamma = pi_membership(lam, z_label(mu, e), e)
-    if gamma is None:
-        return None, LaurentPoly.zero()
-    return gamma, LaurentPoly.monomial(len(gamma))
+    return LaurentPoly.zero() if gamma is None else LaurentPoly.monomial(len(gamma))
 
 
 def d_closed(lam, mu, e):
@@ -135,8 +97,8 @@ def d_closed(lam, mu, e):
     """
     if block_of(lam, e) != block_of(mu, e) or not is_hook_quotient(lam, e):
         return LaurentPoly.zero()
-    gamma, value = _pi_route(lam, mu, e)
-    if is_m_increasing(z_label(mu, e), 4) and _cube_value(lam, mu, e, gamma) != value:
+    value = _pi_route(lam, mu, e)
+    if is_m_increasing(z_label(mu, e), 4) and _cube_value(lam, mu, e) != value:
         raise AssertionError(
             "parallelotope and hypercube routes disagree on a 4-increasing column"
         )
@@ -149,7 +111,7 @@ class Tiling:
 
     block: object
     m: int
-    cells: list  # (owner, Parallelotope, Hypercube)
+    cells: list  # (owner, Pi(owner), C(owner))
 
     def generic_cells(self):
         e = self.block.e
@@ -223,7 +185,7 @@ def check_cube_injectivity(t):
     seen = {}
     for _, _, cube in t.cells:
         for v in cube.vertices():
-            pv = v.project()
+            pv = project(v)
             if not is_m_increasing(pv, t.m):
                 continue
             if pv in seen and seen[pv] != v:
@@ -234,19 +196,12 @@ def check_cube_injectivity(t):
 
 def _minimal_face(pi, pts):
     """Smallest face of pi containing the given vertex subset, as a set."""
-    gammas = []
-    verts = {}
-    w = len(pi.generators)
-    for mask in range(1 << w):
-        g = frozenset(i + 1 for i in range(w) if mask >> i & 1)
-        verts[g] = pi.vertex(sorted(g))
-    hits = [g for g, v in verts.items() if v in pts]
+    verts = pi.vertices()
+    hits = [g for g, v in enumerate(verts) if v in pts]
     if not hits:
         return set()
-    lo = frozenset.intersection(*hits)
-    hi = frozenset.union(*hits)
-    face = {verts[g] for g, v in verts.items() if lo <= g <= hi}
-    return face
+    lo, hi = reduce(and_, hits), reduce(or_, hits)
+    return {v for g, v in enumerate(verts) if g & lo == lo and g | hi == hi}
 
 
 def check_common_faces(t):
@@ -295,7 +250,7 @@ def ext_adjacency(b, ctx=None):
     for i in range(len(four)):
         for j in range(i + 1, len(four)):
             lam, mu = four[i], four[j]
-            if (hats[lam] - hats[mu]).norm() != 1:
+            if sum(map(abs, vec_sub(hats[lam], hats[mu]))) != 1:
                 continue
             rel1 = rel2 = False
             if is_hook_quotient(lam, e):
@@ -320,7 +275,7 @@ def tiling_to_json(t):
                 "owner": list(owner.parts),
                 "anchor": list(pi.anchor),
                 "generators": [list(g) for g in pi.generators],
-                "hat_anchor": cube.anchor.to_json(),
+                "hat_anchor": lifted_json(cube.anchor),
             }
         )
     return {

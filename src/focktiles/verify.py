@@ -43,6 +43,7 @@ from .labels import (
     is_m_increasing,
     modified_basis,
     movements,
+    vec_sub,
     z_inverse,
     z_label,
 )
@@ -141,9 +142,9 @@ def ac1():
     )
     conds.append(("z(4,3,3)", z_label(P("4,3,3"), 3) == (2, 1, 1)))
     # modified basis examples
-    mb = modified_basis(P("16,8,1^13"), 10).plain
+    mb = modified_basis(P("16,8,1^13"), 10)
     conds.append(("eps(16,8,1^13)", mb == ((1, -1, 0), (0, 1, 0), (0, -1, 1))))
-    mb2 = modified_basis(P("7,3,3,2,2,1"), 4).plain
+    mb2 = modified_basis(P("7,3,3,2,2,1"), 4)
     conds.append(
         ("eps(7,3,3,2,2,1)",
          mb2 == ((1, 0, -1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1)))
@@ -188,7 +189,7 @@ def ac1():
     conds.append(("d_closed e=10 pair", d_closed(lam10, mu10, 10) == q(2)))
     conds.append(("pi membership {1,3}", pi_membership(lam10, z_label(mu10, 10), 10) == frozenset({1, 3})))
     conds.append(("d_closed self", d_closed(lam10, lam10, 10) == LaurentPoly.one()))
-    conds.append(("hat norm 2", (hat_z(mu10, 10) - hat_z(lam10, 10)).norm() == 2))
+    conds.append(("hat norm 2", sum(map(abs, vec_sub(hat_z(mu10, 10), hat_z(lam10, 10)))) == 2))
     # inductive engine on the e=10 pair
     eng = InductiveEngine(10)
     conds.append(("inductive d = q^2", eng.column(mu10).coeff(lam10) == q(2)))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from focktiles.partitions import EMPTY, Partition, all_partitions, conjugate, parse_partition
+import focktiles.abacus as abacus_module
 from focktiles.abacus import (
     Abacus,
     BlockId,
@@ -435,6 +436,20 @@ def test_scopes_chain():
             assert stepped == blocks[i + 1].core
     with pytest.raises(ValueError):
         scopes_chain(BlockId(3, EMPTY, 0))
+
+
+def test_scopes_descent_is_bounded(monkeypatch):
+    # a reflection that swaps the two tops without the +-1 keeps the length:
+    # the descent must stop after l(B_0) - l(b) steps, not spin
+    def swap_only(tops, a):
+        k, _ = _reflect(tops, a)
+        out = list(tops)
+        out[a - 1], out[a] = tops[a], tops[a - 1]
+        return k, tuple(out)
+
+    monkeypatch.setattr(abacus_module, "_reflect", swap_only)
+    with pytest.raises(AssertionError, match="did not reach the target"):
+        scopes_chain_blocks(block_of(parse_partition("17,7,2^4,1^5"), 10))
 
 
 def _hook_length(core, e):

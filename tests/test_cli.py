@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -120,6 +121,43 @@ def test_exit_codes():
     assert code == 1 and out == "" and err.startswith("error:")
     code, out, err = _capture(["gcolumn", "--e", "4", "--method", "closed", "8"])
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_moveone_index_out_of_range():
+    # (7,3,3,2,2,1) has w = 4 movements at e = 4
+    for r in ("0", "5"):
+        code, out, err = _capture(["moveone", "--e", "4", "7,3,3,2,2,1", r])
+        assert code == 1 and out == ""
+        assert err == "error: movement index out of range\n"
+
+
+# Outputs of the label, basis and tiling verbs, pinned byte for byte; the
+# long ones by their SHA-256.
+PINNED = [
+    (["hatz", "--e", "4", "7,3,3,2,2,1"],
+     '{"diag": [0, 1, 2, 4], "upper": [[1, 2, 1], [2, 3, 1], [3, 4, 1]]}\n'),
+    (["hatz", "--e", "10", "17,7,2^4,1^5"], '{"diag": [0, 6, 9], "upper": [[1, 2, 1]]}\n'),
+    (["epsilon", "--e", "4", "7,3,3,2,2,1"], "[[1,0,-1,0],[0,1,0,0],[0,0,1,0],[0,0,-1,1]]\n"),
+    (["epsilon", "--e", "10", "17,7,2^4,1^5"], "[[1,0,0],[0,1,0],[0,0,1]]\n"),
+    (["hatz", "--e", "2", "2000"],
+     "56c68f0537360af9c50a24cf22d80ca2aeb604ef82a46b8a5e77a9b6efa740b8"),
+    (["tiling", "--e", "17", "5,3,1", "2"],
+     "9ec271fc62d1b93cf8d90838e731400025945bdd860e6a63c84610584d6896b3"),
+    (["tiling", "--e", "25", "15,1^14", "3"],
+     "7fd30f1d9bd948c6b4b21802564f6e4ef86ed0141a3f0d2482b14c57c09774dd"),
+    (["tiling", "--e", "17", "5,3,1", "2", "--format", "svg"],
+     "68b2f2ffc572315b9237706e509be95d19872da15b2a6c432674a87a26bb8c4b"),
+]
+
+
+def test_pinned_outputs():
+    for argv, want in PINNED:
+        code, out, _ = _capture(argv)
+        assert code == 0
+        if want.endswith("\n"):
+            assert out == want, argv
+        else:
+            assert hashlib.sha256(out.encode()).hexdigest() == want, argv
 
 
 def test_long_mullineux_query():

@@ -13,9 +13,11 @@ from focktiles.labels import (
     is_m_increasing,
     modified_basis,
     movements,
+    project,
     succ_geq,
     succ_maximal,
     vec_add,
+    vec_sub,
     z_inverse,
     z_label,
 )
@@ -106,9 +108,9 @@ def test_hook_quotient():
 
 def test_modified_basis_examples():
     mb = modified_basis(parse_partition("16,8,1^13"), 10)
-    assert mb.plain == ((1, -1, 0), (0, 1, 0), (0, -1, 1))
+    assert mb == ((1, -1, 0), (0, 1, 0), (0, -1, 1))
     mb = modified_basis(parse_partition("7,3,3,2,2,1"), 4)
-    assert mb.plain == ((1, 0, -1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1))
+    assert mb == ((1, 0, -1, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, -1, 1))
     with pytest.raises(ValueError):
         modified_basis(parse_partition("7,4,4,1,1,1"), 4)
     # Rouquier 1-increasing: all basis vectors unmodified
@@ -120,7 +122,7 @@ def test_modified_basis_examples():
         z = z_label(lam, 5)
         if is_m_increasing(z, 1) and is_hook_quotient(lam, 5):
             w = len(z)
-            assert modified_basis(lam, 5).plain == tuple(
+            assert modified_basis(lam, 5) == tuple(
                 tuple(1 if j == i else 0 for j in range(w)) for i in range(w)
             )
             hits += 1
@@ -134,7 +136,7 @@ def test_modified_basis_is_basis_and_bounded():
             for e in (2, 3):
                 if not is_hook_quotient(lam, e):
                     continue
-                mb = modified_basis(lam, e).plain
+                mb = modified_basis(lam, e)
                 w = len(mb)
                 for mask in range(1 << w):
                     v = (0,) * w
@@ -165,13 +167,40 @@ def test_succ_order():
 def test_hat_z():
     lam = parse_partition("16,8,1^13")
     mu = parse_partition("17,7,2^4,1^5")
-    assert (hat_z(mu, 10) - hat_z(lam, 10)).norm() == 2
+    assert sum(map(abs, vec_sub(hat_z(mu, 10), hat_z(lam, 10)))) == 2
     rng = random.Random(2)
     pool = [p for n in range(0, 16) for p in all_partitions(n)]
     for lam in rng.sample(pool, 100):
         for e in (2, 3):
-            h = hat_z(lam, e)
-            assert h.project() == z_label(lam, e)
+            assert project(hat_z(lam, e)) == z_label(lam, e)
+
+
+def _hat_z_reference(lam, e):
+    """zhat by its definition: for each pair i < j of movements with
+    q_i > q_j - e, or q_i = q_j - e and b_i = b_j, add e_ij and move one
+    from coordinate i of z to coordinate j."""
+    mvs = movements(lam, e)
+    w = len(mvs)
+    diag = list(z_label(lam, e))
+    upper = []
+    for i in range(w):
+        for j in range(i + 1, w):
+            a, b = mvs[i], mvs[j]
+            hit = a.q > b.q - e or (a.q == b.q - e and a.b == b.b)
+            if hit:
+                diag[i] -= 1
+                diag[j] += 1
+            upper.append(1 if hit else 0)
+    return tuple(diag) + tuple(upper)
+
+
+def test_hat_z_matches_its_definition():
+    for n in range(0, 13):
+        for lam in all_partitions(n):
+            for e in (2, 3, 4):
+                h = hat_z(lam, e)
+                assert h == _hat_z_reference(lam, e)
+                assert project(h) == z_label(lam, e)
 
 
 def test_z_inverse_refuses_a_context_of_another_block():
