@@ -42,6 +42,8 @@ def partition_of_mask(m):
 def _partition_of_bits(s):
     """The partition whose packed beta-set has the bit string s, lowest bit
     first: each bead is a part equal to the number of gaps below it."""
+    if "01" not in s:  # no bead has a gap below it
+        return EMPTY
     parts = [g for g in accumulate(map(len, s.split("1")[:-1])) if g]
     parts.reverse()
     return Partition(parts) if parts else EMPTY
@@ -180,6 +182,11 @@ class Abacus:
         """Add c to every position (charge shift)."""
         return Abacus(self.e, self.base + c, self.mask)
 
+    def mask_over(self, lo):
+        """The same beta-set packed over an offset lo <= base."""
+        d = self.base - lo
+        return (self.mask << d) | ((1 << d) - 1)
+
 
 def abacus_of(lam, e):
     """The abacus of beta(lambda) = {lambda_i - i}."""
@@ -220,17 +227,18 @@ def core_quotient_weight(a):
 
 class Facts:
     """What is known of one partition at one e.  The abacus, core, quotient
-    and weight are set on creation; each other slot is None until the module
-    that owns the fact fills it on first use: `labels` the movements with
-    their runner chains, z, the modified basis and zhat; `beadops` the
-    Mullineux image."""
+    and weight are set on creation; each other slot is None until the code
+    that owns the fact fills it on first use: `block_of` the block; `labels`
+    the movements with their runner chains, z, the modified basis and zhat;
+    `beadops` the Mullineux image."""
 
-    __slots__ = ("abacus", "core", "quotient", "weight", "movements", "chains",
+    __slots__ = ("abacus", "core", "quotient", "weight", "block", "movements", "chains",
                  "z", "modified", "hat_z", "mullineux")
 
     def __init__(self, a):
         self.abacus = a
         self.core, self.quotient, self.weight = core_quotient_weight(a)
+        self.block = None
         self.movements = self.chains = self.z = self.modified = self.hat_z = self.mullineux = None
 
 
@@ -261,7 +269,11 @@ def weight_of(lam, e):
 
 
 def is_core(lam, e):
-    return weight_of(lam, e) == 0
+    """Whether lam is an e-core: every bead at p has a bead at p - e.  Read
+    off the packed beta-set, without a `facts` record."""
+    lo = -len(lam.parts)
+    m = mask_of(lam, lo)
+    return not m & ~((m << e) | ((1 << e) - 1))
 
 
 @dataclass(frozen=True)
@@ -284,7 +296,9 @@ class BlockId:
 
 def block_of(lam, e):
     f = facts(lam, e)
-    return BlockId(e, f.core, f.weight)
+    if f.block is None:
+        f.block = BlockId(e, f.core, f.weight)
+    return f.block
 
 
 def core_tops(core, e):
@@ -320,17 +334,19 @@ def _from_levels(levels, quot):
     return _partition_of_bits(_interleave(runners))
 
 
-def enumerate_block(b):
-    """All partitions with the block's e-core and e-weight."""
+def quotient_tuples(e, w):
+    """Every e-tuple of partitions of total size w: the quotients of a block."""
     from .partitions import all_partitions
 
+    parts_of = [all_partitions(n) for n in range(w + 1)]
+    for comp in _compositions(w, e):
+        yield from product(*[parts_of[c] for c in comp])
+
+
+def enumerate_block(b):
+    """All partitions with the block's e-core and e-weight."""
     levels = core_levels(b.core, b.e)
-    parts_of = [all_partitions(n) for n in range(b.weight + 1)]
-    out = [
-        _from_levels(levels, quot)
-        for comp in _compositions(b.weight, b.e)
-        for quot in product(*[parts_of[c] for c in comp])
-    ]
+    out = [_from_levels(levels, quot) for quot in quotient_tuples(b.e, b.weight)]
     out.sort(key=lambda p: p.parts, reverse=True)
     return out
 
@@ -503,36 +519,36 @@ def _rouquier_base(need, tops):
     is sum g_t * t * (e - t); x_0 follows from the sum of the tops, which
     every s_a keeps.  The search picks g_1, ..., g_{e-1} in turn, carrying
     for each later i the part of the bound G_i - G_j >= M_b[i][j] (over
-    every chosen j) still owed by g_t + ... + g_i, and memoizes on that
-    residue.
+    every chosen j) still owed by g_t + ... + g_i, and keeps only the least
+    way to reach each such residue.  It is a pass over t, not a recursion,
+    so e is not bounded by the recursion limit.
     """
     e = len(tops)
     m = core_inversions(tops)
-    memo = {}
-
-    def best(t, owed):
-        if t == e:
-            return 0, ()
-        key = (t, owed)
-        if key not in memo:
+    # each residue still owed before g_t is chosen, with the least (length,
+    # gaps) reaching it; ties go to the lexicographically least gaps
+    layer = {tuple(max(m[i][0], need * i) for i in range(1, e)): (0, ())}
+    for t in range(1, e):
+        nxt = {}
+        for owed, (cost, gaps) in layer.items():
             lo = max(need, owed[0])
             hi = max([lo] + [owed[i - t] - need * (i - t) for i in range(t + 1, e)])
-            out = None
             for g in range(lo, hi + 1):
-                rest = tuple(
-                    max(owed[i - t] - g, m[i][t], need * (i - t)) for i in range(t + 1, e)
-                )
-                cost, tail = best(t + 1, rest)
-                cost += g * t * (e - t)
-                if out is None or cost < out[0]:
-                    out = (cost, (g,) + tail)
-            memo[key] = out
-        return memo[key]
-
-    _, gaps = best(1, tuple(max(m[i][0], need * i) for i in range(1, e)))
+                rest = tuple(max(owed[i - t] - g, m[i][t], need * (i - t)) for i in range(t + 1, e))
+                cand = (cost + g * t * (e - t), gaps + (g,))
+                if rest not in nxt or cand < nxt[rest]:
+                    nxt[rest] = cand
+        layer = nxt
+    gaps = layer[()][1]
     big = list(accumulate((0,) + gaps))
     x0 = (sum(tops) - e * (e - 1) // 2) // e - sum(big)
     return tuple(sorted((x0 + t + e * g for t, g in enumerate(big)), key=lambda x: x % e))
+
+
+# The longest Scopes chain `scopes_chain_blocks` builds.  The chain of the
+# weight-2 principal block grows like e^3/6: 35,990 steps at e = 60, 50,116
+# at e = 67 (the first one refused), 2.2e8 at e = 1100.
+SCOPES_CHAIN_LIMIT = 50_000
 
 
 def scopes_chain(b):
@@ -560,12 +576,16 @@ def scopes_chain_blocks(b):
     goal = core_tops(b.core, e)
     m_b = core_inversions(goal)
     x = _rouquier_base(w - 1, goal)
+    # a reduced chain has l(B_0) - l(b) steps; a longer walk is a fault
+    steps = sum(map(sum, core_inversions(x))) - sum(map(sum, m_b))
+    if steps > SCOPES_CHAIN_LIMIT:
+        raise ValueError("the Scopes chain of this block has %d steps, more than the limit of %d"
+                         % (steps, SCOPES_CHAIN_LIMIT))
     rank = [0] * e
     for i, r in enumerate(sorted(range(e), key=x.__getitem__)):
         rank[r] = i
     visited, chain = [x], []
-    # a reduced chain has l(B_0) - l(b) steps; a longer walk is a fault
-    for _ in range(sum(map(sum, core_inversions(x))) - sum(map(sum, m_b))):
+    for _ in range(steps):
         for a in range(e):
             k, y = _reflect(x, a)
             if k > m_b[rank[a]][rank[a - 1]]:

@@ -11,21 +11,26 @@ from dataclasses import dataclass
 
 from .abacus import (
     BlockId,
+    _from_levels,
     _matched_signature,
     _removable,
+    _runner,
     abacus_of,
     block_of,
+    core_levels,
     core_quotient_weight,
     core_tops,
+    facts,
     is_rouquier,
     mask_of,
     partition_of,
     partition_of_mask,
+    quotient_tuples,
     rouquier_charge,
     scopes_chain_blocks,
     weyl_s,
 )
-from .fock import FockVector, _accumulate, addable_beads, apply_E, apply_F, removable_beads, step_F, unpack
+from .fock import FockVector, _accumulate, addable_beads, apply_F, removable_beads, step_E, step_F, unpack
 from .labels import (
     BlockContext,
     is_m_increasing,
@@ -289,7 +294,7 @@ def _rouquier_value(ql, qm, e):
         total = states.get(EMPTY, 0)
     value = LaurentPoly.monomial(delta) * LaurentPoly.of(total)
     if all(q.parts == (1,) * len(q.parts) for q in qm):
-        reduced = _rouquier_d_reduced(ql, qm, e)
+        reduced = _rouquier_d_reduced(ql, qm)
         if reduced != value:
             raise AssertionError(
                 "Rouquier LR formula and hook reduction disagree: %s vs %s"
@@ -298,48 +303,89 @@ def _rouquier_value(ql, qm, e):
     return value
 
 
-def _rouquier_d_reduced(ql, qm, e):
-    """Reduced hook form, valid when the mu quotient is all columns."""
-    xs, ys = [], []
-    for q in ql:
-        if q.part(2) > 1:
+def _rouquier_d_reduced(ql, qm):
+    """Reduced hook form, valid when the mu quotient is all columns.
+
+    With ql_i = (x_i, 1^y_i) a hook, w_i the length of qm_i and
+    a_{i+1} = sum_{j <= i} (x_j + y_j - w_j), it is q^(sum x_i - c_i) when
+    every c_i = x_i - a_{i+1} lies in [0, min(1, x_i)], else 0.
+    """
+    acc = total = 0  # acc = a_{i+1}
+    for q, m in zip(ql, qm):
+        p = q.parts
+        if len(p) > 1 and p[1] > 1:
             return LaurentPoly.zero()
-        xs.append(q.part(1))
-        ys.append(max(len(q.parts) - 1, 0))
-    ws = [len(q.parts) for q in qm]
-    cs = []
-    acc = 0  # a_{i+1}
-    for i in range(e):
-        acc += (xs[i] + ys[i]) - ws[i]
-        cs.append(xs[i] - acc)
-    if any(c < 0 or c > min(1, xs[i]) for i, c in enumerate(cs)):
-        return LaurentPoly.zero()
-    return LaurentPoly.monomial(sum(xs[i] - cs[i] for i in range(e)))
+        x = p[0] if p else 0
+        acc += x + max(len(p) - 1, 0) - len(m.parts)
+        c = x - acc
+        if c < 0 or c > min(1, x):
+            return LaurentPoly.zero()
+        total += x - c
+    return LaurentPoly.monomial(total)
+
+
+def _rouquier_support(qm, w):
+    """The shifted quotients ql with a nonzero LR-product value against qm.
+
+    In `_rouquier_value` the value is a sum, over chains alpha_0 = empty,
+    alpha_1, ..., alpha_e = empty and betas, of products of the LR
+    coefficients c^{qm_j}_{alpha_j beta_j} c^{ql_j}_{beta_j alpha_{j+1}'},
+    all nonnegative; so ql has a nonzero value exactly when some chain has
+    every factor nonzero.  The chains are generated runner by runner:
+    alpha_j lies inside qm_j, beta_j runs over the constituents of the skew
+    qm_j / alpha_j, and ql_j over those of beta_j alpha_{j+1}'.
+    """
+    e = len(qm)
+    parts_of = [all_partitions(n) for n in range(w + 1)]
+    inside = [[a for n in range(q.size + 1) for a in parts_of[n] if q.contains(a)] for q in qm]
+    states = {(EMPTY, ())}  # (alpha_j, ql_0 .. ql_{j-1})
+    for j in range(e):
+        ahead = inside[j + 1] if j + 1 < e else [EMPTY]
+        nxt = set()
+        for alpha, head in states:
+            for beta in parts_of[qm[j].size - alpha.size]:
+                if not lr_coefficient(qm[j], alpha, beta):
+                    continue
+                for alpha_next in ahead:
+                    gamma = conjugate(alpha_next)
+                    for ql in parts_of[beta.size + gamma.size]:
+                        if lr_coefficient(ql, beta, gamma):
+                            nxt.add((alpha_next, head + (ql,)))
+        states = nxt
+    return {ql for _, ql in states}
 
 
 def rouquier_column(mu, b, ctx=None):
     """The full column of d_{lambda,mu} over a Rouquier block.
 
-    The charge, mu's block and mu's shifted quotient are read once per
-    column; the shifted quotient of each member once per block context.
+    The support is generated from mu's shifted quotient
+    (`_rouquier_support`), each lambda is built from its quotient by
+    interleaving runners, and each entry is evaluated by `_rouquier_value`.
+    When mu's quotient is all columns, the hook reduction is also evaluated
+    on every quotient of the block off the support and must vanish there.
+    The column reads no block data; a context ctx, when given, must be b's.
     """
     c = rouquier_charge(b)
     if c is None:
         raise ValueError("%r is not a Rouquier block" % (b,))
     if block_of(mu, b.e) != b:
         raise ValueError("mu must lie in the block")
-    ctx = BlockContext.of(b, ctx)
+    BlockContext.of(b, ctx)  # refuses a context of another block
     e = b.e
-    quots = ctx.cache("shifted_quotient")
     qm = shifted_quotient(mu, e, c)
+    support = _rouquier_support(qm, b.weight)
+    levels = core_levels(b.core, e)
     out = {}
-    for lam in ctx.members():
-        ql = quots.get(lam)
-        if ql is None:
-            ql = quots[lam] = shifted_quotient(lam, e, c)
+    for ql in support:
         v = _rouquier_value(ql, qm, e)
-        if v:
-            out[lam] = v
+        if not v:
+            raise AssertionError("a generated Rouquier term has value 0")
+        # runner r of the display shifted by c is runner r - c unshifted
+        out[_from_levels(levels, ql[c:] + ql[:c])] = v
+    if all(q.parts == (1,) * len(q.parts) for q in qm):
+        for ql in quotient_tuples(e, b.weight):
+            if _rouquier_d_reduced(ql, qm) and ql not in support:
+                raise AssertionError("the hook reduction is nonzero off the LR support at %r" % (ql,))
     return FockVector(out)
 
 
@@ -515,20 +561,21 @@ def exceptional_family(gen, pair):
 class InductiveEngine:
     """Scopes-chain construction of canonical-basis columns.
 
-    Columns are cached per block; chains are seeded so that every prefix
-    block reuses the same route back to its Rouquier base.
+    Columns are kept packed over one offset lo, {mask: {exponent: int}} as
+    `fock` steps them, and cached per block; chains are seeded so that every
+    prefix block reuses the same route back to its Rouquier base.  Every
+    stored term keeps at least two filled positions at the bottom of its
+    mask (lo <= -(rows + 2)), so a step, which adds at most one row, stays
+    in range; a stored column that would break this first moves lo down
+    and re-pads every column.  Only the column that `column` returns is
+    unpacked.
     """
 
     def __init__(self, e):
         self.e = e
+        self.lo = -2
         self.cols = {}
-        self.ctxs = {}
         self.chains = {}
-
-    def ctx(self, b):
-        if b not in self.ctxs:
-            self.ctxs[b] = BlockContext(b)
-        return self.ctxs[b]
 
     def chain(self, b):
         if b not in self.chains:
@@ -538,31 +585,35 @@ class InductiveEngine:
         return self.chains[b]
 
     def column(self, mu):
+        """G(mu) as a Fock vector."""
+        return unpack(self._column(mu))
+
+    def _column(self, mu):
+        """G(mu) packed over self.lo."""
         e = self.e
         b = block_of(mu, e)
         key = (b, mu)
         if key in self.cols:
             return self.cols[key]
         if b.weight == 0:
-            self.cols[key] = FockVector.basis(mu)
-            return self.cols[key]
+            return self._store(b, mu, self._pack(FockVector.basis(mu)))
         z = z_label(mu, e)
         if not is_m_increasing(z, 4):
             raise ValueError("inductive_G requires a 4-increasing partition")
         if is_rouquier(b):
-            return self._store(b, mu, rouquier_column(mu, b, self.ctx(b)))
+            return self._store(b, mu, self._pack(rouquier_column(mu, b)))
         # walk back along the Scopes chain to the Rouquier base, then build
         # the z-matched columns forward iteratively (chains can be long)
         blocks, chain = self.chain(b)
         reps = [mu]
         for a, k in reversed(chain):
-            reps.append(partition_of(weyl_s(abacus_of(reps[-1], e), a)))
+            reps.append(partition_of(weyl_s(facts(reps[-1], e).abacus, a)))
         reps.reverse()
         for i, rep in enumerate(reps):
             if block_of(rep, e) != blocks[i] or z_label(rep, e) != z:
                 raise AssertionError("Weyl transport left the expected block or label")
         if (blocks[0], reps[0]) not in self.cols:
-            self._store(blocks[0], reps[0], rouquier_column(reps[0], blocks[0], self.ctx(blocks[0])))
+            self._store(blocks[0], reps[0], self._pack(rouquier_column(reps[0], blocks[0])))
         for i in range(1, len(blocks)):
             if (blocks[i], reps[i]) in self.cols:
                 continue
@@ -571,61 +622,96 @@ class InductiveEngine:
             self._store(blocks[i], reps[i], self._step(reps[i], reps[i - 1], pair))
         return self.cols[key]
 
+    def _repad(self, d):
+        """Move lo down by d > 0, re-padding every stored column."""
+        self.lo -= d
+        self.cols = {key: _pad(col, d) for key, col in self.cols.items()}
+
+    def _pack(self, v):
+        """The Fock vector v packed over self.lo, moved down to fit its rows."""
+        short = max(len(lam.parts) for lam in v.terms) + 2 + self.lo
+        if short > 0:
+            self._repad(short)
+        return {mask_of(lam, self.lo): dict(c.coeffs) for lam, c in v.terms.items()}
+
     def _store(self, b, mu, col):
-        if col.coeff(mu) != LaurentPoly.one():
+        if any(m & 3 != 3 for m in col):  # a term within two rows of lo
+            # a step from terms two rows clear of lo leaves them one row clear
+            if any(not m & 1 for m in col):
+                raise AssertionError("a packed term reached the offset")
+            self._repad(2)
+            col = _pad(col, 2)
+        m = facts(mu, self.e).abacus.mask_over(self.lo)
+        if col.get(m) != {0: 1}:
             raise AssertionError("inductive column is not unitriangular at mu")
-        if any(lam != mu and not c.in_qZq() for lam, c in col.terms.items()):
+        if any(min(c) <= 0 for x, c in col.items() if x != m):
             raise AssertionError("inductive column violates triangularity")
         self.cols[(b, mu)] = col
         return col
 
     def _step(self, mu, prev, pair):
-        """One Scopes step: columns of s_a(B) from columns of B."""
-        e = self.e
+        """One Scopes step: G(mu) in s_a(B) from G(prev) in B, packed."""
+        e, lo = self.e, self.lo
         a, k = pair.a, pair.k
-        if len(removable_beads(mu, a, e)) > 1:
+        m = facts(mu, e).abacus.mask_over(lo)
+        rem = _removable(m) & _runner(a, e, lo, m.bit_length())
+        if rem & (rem - 1):
             raise AssertionError("4-increasing exceptional partition with several removable beads")
-        gen = _bead_back(mu, a, e)
-        if gen is not None:
+        if rem:
+            gen = partition_of_mask(_bead_back(m, a, e, lo))
             fam = exceptional_family(gen, pair)
             if fam is None:
                 raise AssertionError("1-increasing exceptional family must be hook-quotient")
             if mu == fam.upper[0]:
-                return apply_F(self.column(gen), a, 1, e)
-        col = apply_E(self.cols[(pair.block, prev)], a, k, e)
-        for fam, n in self._corrections(col, mu, prev, pair):
-            corr = apply_F(self.column(fam.generator), a, 1, e)
-            col = col - corr.scale(quantum_int(n - 1))
+                g = self._column(gen)
+                return step_F(g, a, 1, e, self.lo)
+        col = step_E(self.cols[(pair.block, prev)], a, k, e, lo)
+        fams = self._corrections(col, m, prev, pair)
+        for fam, _ in fams:
+            self._column(fam.generator)  # building it may move lo
+        if self.lo != lo:
+            col = _pad(col, lo - self.lo)
+        for fam, n in fams:
+            corr = step_F(self._column(fam.generator), a, 1, e, self.lo)
+            _subtract_multiple(col, quantum_int(n - 1), corr)
         return col
 
-    def _corrections(self, col, mu, prev, pair):
+    def _corrections(self, col, m, prev, pair):
         """The families with s = 0 and n >= 2 for z(prev), with their n.
 
-        Their generators are read off the offenders of col = E_a^(k) G(prev):
-        every lambdatilde^j of a family leads back to its one generator.
+        Their generators are read off the offenders of col = E_a^(k) G(prev),
+        packed over self.lo with m the mask of its label: every
+        lambdatilde^j of a family leads back to its one generator.
         """
-        e = self.e
+        e, lo = self.e, self.lo
         gens = dict.fromkeys(
-            _bead_back(nu, pair.a, e) for nu, c in col.terms.items() if nu != mu and not c.in_qZq()
+            _bead_back(x, pair.a, e, lo) for x, c in col.items() if x != m and min(c) <= 0
         )
         gens.pop(None, None)
         z_prev = z_label(prev, e)
         out = []
         for gen in gens:
-            fam = exceptional_family(gen, pair)
+            fam = exceptional_family(partition_of_mask(gen), pair)
             sep = fam and fam.separation(z_prev)
             if sep and sep["s"] == 0 and sep["n"] >= 2:
                 out.append((fam, sep["n"]))
         return out
 
 
-def _bead_back(nu, a, e):
-    """nu with its one removable bead on runner a moved back a slot, or None
-    unless exactly one such bead exists."""
-    rem = removable_beads(nu, a, e)
-    if len(rem) != 1:
+def _pad(vec, d):
+    """Packed terms moved to an offset d positions lower: each mask gains d
+    filled positions at the bottom."""
+    fill = (1 << d) - 1
+    return {(m << d) | fill: c for m, c in vec.items()}
+
+
+def _bead_back(m, a, e, lo):
+    """The mask m over lo with its one removable bead on runner a moved back
+    a slot, or None unless exactly one such bead exists."""
+    rem = _removable(m) & _runner(a, e, lo, m.bit_length())
+    if not rem or rem & (rem - 1):
         return None
-    return partition_of(abacus_of(nu, e).move_bead(rem[0], rem[0] - 1))
+    return m ^ rem ^ (rem >> 1)
 
 
 def inductive_G(mu, e, engine=None):

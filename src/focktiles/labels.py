@@ -31,7 +31,7 @@ def _moved(lam, e):
         for j, bit in enumerate(bits):
             if bit == "0":
                 gaps += 1
-            else:
+            elif gaps:
                 # a bead with g gaps above it starts its g movements at
                 # itself and the g - 1 positions above it on the runner
                 x = first + j * e

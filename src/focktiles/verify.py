@@ -303,11 +303,11 @@ def ac4():
 
     The LR-product formula is checked against the closed formula for every
     0-increasing mu and all lambda, and llt_G against both for each of
-    those mu that is e-regular, on all 28 blocks (e <= 8, w <= 3).
+    those mu that is e-regular, on all 35 blocks (e <= 8, w <= 4).
     """
-    pairs = [(e, w) for w in (0, 1, 2, 3) for e in range(2, 9)]
+    pairs = [(e, w) for w in (0, 1, 2, 3, 4) for e in range(2, 9)]
     llt_pairs = set()
-    columns = 0
+    per_weight = {}
     for e, w in pairs:
         b = rouquier_block(e, w)
         ctx = BlockContext(b)
@@ -325,9 +325,11 @@ def ac4():
                     return False, "rouquier vs llt at %s, %s in %r" % (lam, mu, b)
             if G is not None:
                 llt_pairs.add((e, w))
-            columns += 1
-    return True, "%d Rouquier columns (llt cross-checked on %d of %d (e,w) pairs)" % (
-        columns,
+            per_weight[w] = per_weight.get(w, 0) + 1
+    counts = ", ".join("w=%d: %d" % wc for wc in sorted(per_weight.items()))
+    return True, "%d Rouquier columns (%s; llt cross-checked on %d of %d (e,w) pairs)" % (
+        sum(per_weight.values()),
+        counts,
         len(llt_pairs),
         len(pairs),
     )

@@ -23,6 +23,7 @@ from focktiles.abacus import (
     crystal_E,
     crystal_F,
     enumerate_block,
+    is_core,
     is_rouquier,
     partition_of,
     quotient_of,
@@ -72,6 +73,15 @@ def test_core_quotient_examples():
         parse_partition("1"), EMPTY, parse_partition("2,1"), EMPTY)
     kappa = parse_partition("2,1")
     assert core_quotient_weight(abacus_of(kappa, 2)) == (kappa, (EMPTY,) * 2, 0)
+
+
+def test_is_core_reads_the_mask():
+    for e in range(2, 8):
+        for n in range(15):
+            for lam in all_partitions(n):
+                assert is_core(lam, e) == (weight_of(lam, e) == 0), (lam, e)
+    with pytest.raises(ValueError, match="core"):
+        BlockId(3, parse_partition("3"), 1)
 
 
 def test_abacus_examples():

@@ -19,7 +19,9 @@ from focktiles.abacus import (
     core_tops,
     enumerate_block,
     is_rouquier,
+    mask_of,
     partition_of,
+    rouquier_charge,
     weight_of,
     weyl_s,
 )
@@ -38,6 +40,7 @@ from focktiles.fock import FockVector, apply_E, apply_F, removable_beads
 from focktiles.labels import BlockContext, is_m_increasing, z_label
 from focktiles.laurent import LaurentPoly, bar_symmetric_split
 from focktiles.polytope import d_closed, parallelotope_of
+from focktiles.verify import rouquier_block
 
 
 q = LaurentPoly.monomial
@@ -319,6 +322,41 @@ def test_rouquier_column_matches_rouquier_d(e, w):
             assert col.coeff(lam) == rouquier_d(lam, mu, b)
 
 
+def _member_filter_column(mu, b, quots):
+    """Reference: the LR-product formula evaluated on every member of b,
+    given as (lambda, shifted quotient) pairs."""
+    qm = canonical.shifted_quotient(mu, b.e, rouquier_charge(b))
+    return FockVector({lam: v for lam, ql in quots if (v := canonical._rouquier_value(ql, qm, b.e))})
+
+
+@pytest.mark.parametrize("w", [0, 1, 2, 3, 4])
+def test_generated_rouquier_column_matches_member_filter(w):
+    # on every AC-4 block; at w = 4 every fourth 0-increasing mu, for time
+    # (AC-4 checks all of them against d_closed and LLT)
+    for e in range(2, 9):
+        b = rouquier_block(e, w)
+        ctx = BlockContext(b)
+        c = rouquier_charge(b)
+        quots = [(lam, canonical.shifted_quotient(lam, e, c)) for lam in ctx.members()]
+        mus = [mu for mu in ctx.members() if is_m_increasing(ctx.z_map()[mu], 0)]
+        for mu in mus[:: 4 if w == 4 else 1]:
+            assert rouquier_column(mu, b, ctx) == _member_filter_column(mu, b, quots), (mu, e)
+
+
+def test_rouquier_hook_check_covers_zero_entries(monkeypatch):
+    b = rouquier_block(4, 3)
+    c = rouquier_charge(b)
+    mu = next(m for m in BlockContext(b).members()
+              if all(q.parts == (1,) * len(q.parts) for q in canonical.shifted_quotient(m, 4, c)))
+    reduced = canonical._rouquier_d_reduced
+    rouquier_column(mu, b)
+    # a hook reduction that is nonzero off the LR support must be caught
+    monkeypatch.setattr(canonical, "_rouquier_d_reduced",
+                        lambda ql, qm: reduced(ql, qm) or LaurentPoly.one())
+    with pytest.raises(AssertionError, match="off the LR support"):
+        rouquier_column(mu, b)
+
+
 def test_rouquier_predicate_matches_llt():
     # every block the predicate accepts has LLT columns equal to the LR formula
     for e in (3, 4):
@@ -561,6 +599,36 @@ def test_inductive_with_live_corrections():
             assert col.coeff(lam) == d_closed(lam, mu, 9)
 
 
+class _RepaddingEngine(InductiveEngine):
+    """Moves lo down before it builds each new column, as a chain whose base
+    has more rows than every column so far would: the packed column a step
+    holds across that call must be re-padded with the stored ones."""
+
+    def _column(self, mu):
+        if (block_of(mu, self.e), mu) not in self.cols:
+            self._repad(1)
+        return super()._column(mu)
+
+
+def test_columns_survive_moving_the_offset():
+    eng = _RepaddingEngine(9)
+    for mu in [P("18,5,2^4,1^9"), P("13,4,1^13")]:  # steps with live corrections
+        col = eng.column(mu)
+        for lam in BlockContext(block_of(mu, 9)).members():
+            assert col.coeff(lam) == d_closed(lam, mu, 9)
+
+
+def test_stored_terms_keep_two_rows_clear_of_the_offset():
+    eng = InductiveEngine(2)
+    eng.lo = -3
+    mu = P("2,1")  # one row clear of -3
+    eng._store(block_of(mu, 2), mu, {mask_of(mu, -3): {0: 1}})
+    assert eng.lo == -5 and eng.cols[(block_of(mu, 2), mu)] == {mask_of(mu, -5): {0: 1}}
+    nu = P("3,1,1,1,1")  # no row clear of -5: a step got out of range
+    with pytest.raises(AssertionError, match="reached the offset"):
+        eng._store(block_of(nu, 2), nu, {mask_of(nu, -5): {0: 1}})
+
+
 class _CheckedEngine(InductiveEngine):
     """Compares the corrections of every Scopes step with those the
     check-block walk selects (s = 0, n >= 2)."""
@@ -569,8 +637,8 @@ class _CheckedEngine(InductiveEngine):
         super().__init__(e)
         self.used = {}  # check-block weight -> corrections made
 
-    def _corrections(self, col, mu, prev, pair):
-        got = super()._corrections(col, mu, prev, pair)
+    def _corrections(self, col, m, prev, pair):
+        got = super()._corrections(col, m, prev, pair)
         z_prev = z_label(prev, self.e)
         want = set()
         for fam in _hook_quotient_families(pair):

@@ -171,6 +171,16 @@ def test_block_on_many_runners():
     assert code == 0 and len(out.splitlines()) == 1200
 
 
+def test_overlong_scopes_chain_is_refused():
+    # the weight-2 chain at e = 1100 has about 2.2e8 steps: refused before
+    # the first one, with one line on stderr
+    code, out, err = _capture(
+        ["dnum", "--e", "1100", "--method", "inductive", "2195,1^5", "2195,1^5"]
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "limit" in err and err.count("\n") == 1
+
+
 def test_python_m_entry_point():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)

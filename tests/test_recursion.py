@@ -8,7 +8,6 @@ import focktiles
 
 # qualified name -> what bounds the recursion depth
 BOUNDED_RECURSION = {
-    "abacus._rouquier_base.best": "e",
     "beadops.move_along.rec": "|Gamma| <= w",
     "partitions.all_partitions.rec": "n",
     "polytope.m_increasing_box.rec": "w",
