@@ -243,10 +243,12 @@ class Facts:
 
 
 # Distinct (lambda, e) keys one process reads, measured: 675-728 per mu on
-# the e = 10 Scopes columns, 521 / 99 / 448 on the closed / rouquier / llt
-# dnum batches, 5,562 on the (13,4) Scopes column and 15,390 over AC-3.
-# Past the bound the oldest records are evicted and rebuilt on demand; the
-# answers do not change.
+# the e = 10 Scopes columns and 521 / 99 / 448 on the closed / rouquier /
+# llt dnum batches (no benchmark workload reads over about 1,000), 5,562 on
+# the (13,4) Scopes column and 15,390 over AC-3.  The five Scopes columns of
+# the e = 14, empty-core, weight-4 block read 20,913 after their block
+# context and evict records; evicted records are rebuilt on demand with the
+# same answers (`test_facts`).
 FACTS_MAXSIZE = 1 << 14
 
 

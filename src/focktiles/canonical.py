@@ -239,68 +239,13 @@ def shifted_quotient(lam, e, c):
     return core_quotient_weight(abacus_of(lam, e).shift(c))[1]
 
 
-def rouquier_d(lam, mu, b):
-    """q-decomposition number in a Rouquier block, by the LR-product formula.
-
-    For 0-increasing mu the reduced hook formula is evaluated as well and
-    both routes must agree.
-    """
-    c = rouquier_charge(b)
-    if c is None:
-        raise ValueError("%r is not a Rouquier block" % (b,))
-    if block_of(lam, b.e) != b or block_of(mu, b.e) != b:
+def rouquier_d(lam, mu, b, ctx=None):
+    """q-decomposition number in a Rouquier block, by the LR-product formula:
+    the entry of `rouquier_column(mu, b, ctx)` at lam."""
+    col = rouquier_column(mu, b, ctx)  # refuses a block that is not Rouquier
+    if block_of(lam, b.e) != b:
         raise ValueError("both partitions must lie in the block")
-    e = b.e
-    return _rouquier_value(shifted_quotient(lam, e, c), shifted_quotient(mu, e, c), e)
-
-
-def _rouquier_value(ql, qm, e):
-    """The LR-product formula on shifted quotients, cross-checked by the
-    reduced hook formula when the mu quotient is all columns."""
-    sl = [q.size for q in ql]
-    sm = [q.size for q in qm]
-    delta = sum((e - 1 - j) * (sl[j] - sm[j]) for j in range(e - 1))
-    a_sizes = [0] * (e + 1)
-    for i in range(1, e + 1):
-        a_sizes[i] = a_sizes[i - 1] + sl[i - 1] - sm[i - 1]
-    b_sizes = [0] * e
-    acc = 0
-    for i in range(e):
-        b_sizes[i] = sm[i] + acc
-        acc += sm[i] - sl[i]
-    if any(x < 0 for x in a_sizes) or any(x < 0 for x in b_sizes):
-        total = 0
-    else:
-        states = {EMPTY: 1}
-        for j in range(e):
-            betas = all_partitions(b_sizes[j])
-            nxt = {}
-            for alpha_next in all_partitions(a_sizes[j + 1]):
-                alpha_next_conj = conjugate(alpha_next)
-                tot = 0
-                for alpha, val in states.items():
-                    inner = 0
-                    for beta in betas:
-                        c1 = lr_coefficient(qm[j], alpha, beta)
-                        if not c1:
-                            continue
-                        inner += c1 * lr_coefficient(ql[j], beta, alpha_next_conj)
-                    tot += val * inner
-                if tot:
-                    nxt[alpha_next] = tot
-            states = nxt
-            if not states:
-                break
-        total = states.get(EMPTY, 0)
-    value = LaurentPoly.monomial(delta) * LaurentPoly.of(total)
-    if all(q.parts == (1,) * len(q.parts) for q in qm):
-        reduced = _rouquier_d_reduced(ql, qm)
-        if reduced != value:
-            raise AssertionError(
-                "Rouquier LR formula and hook reduction disagree: %s vs %s"
-                % (value, reduced)
-            )
-    return value
+    return col.coeff(lam)
 
 
 def _rouquier_d_reduced(ql, qm):
@@ -324,69 +269,77 @@ def _rouquier_d_reduced(ql, qm):
     return LaurentPoly.monomial(total)
 
 
-def _rouquier_support(qm, w):
-    """The shifted quotients ql with a nonzero LR-product value against qm.
+def _rouquier_terms(qm, w):
+    """{ql: LR total} over the shifted quotients ql with a nonzero total
+    against the shifted quotient qm of mu.
 
-    In `_rouquier_value` the value is a sum, over chains alpha_0 = empty,
-    alpha_1, ..., alpha_e = empty and betas, of products of the LR
-    coefficients c^{qm_j}_{alpha_j beta_j} c^{ql_j}_{beta_j alpha_{j+1}'},
-    all nonnegative; so ql has a nonzero value exactly when some chain has
-    every factor nonzero.  The chains are generated runner by runner:
-    alpha_j lies inside qm_j, beta_j runs over the constituents of the skew
-    qm_j / alpha_j, and ql_j over those of beta_j alpha_{j+1}'.
+    The total is the sum, over chains alpha_0 = empty, alpha_1, ...,
+    alpha_e = empty and betas, of the products of LR coefficients
+    c^{qm_j}_{alpha_j beta_j} c^{ql_j}_{beta_j alpha_{j+1}'}, all
+    nonnegative.  The chains are generated runner by runner: alpha_j lies
+    inside qm_j, beta_j runs over the constituents of the skew qm_j /
+    alpha_j, and ql_j over those of beta_j alpha_{j+1}'.  A state maps
+    (alpha_j, ql_0 .. ql_{j-1}) to the summed products so far.
     """
     e = len(qm)
     parts_of = [all_partitions(n) for n in range(w + 1)]
     inside = [[a for n in range(q.size + 1) for a in parts_of[n] if q.contains(a)] for q in qm]
-    states = {(EMPTY, ())}  # (alpha_j, ql_0 .. ql_{j-1})
+    states = {(EMPTY, ()): 1}
     for j in range(e):
         ahead = inside[j + 1] if j + 1 < e else [EMPTY]
-        nxt = set()
-        for alpha, head in states:
+        nxt = {}
+        for (alpha, head), val in states.items():
             for beta in parts_of[qm[j].size - alpha.size]:
-                if not lr_coefficient(qm[j], alpha, beta):
+                c1 = lr_coefficient(qm[j], alpha, beta)
+                if not c1:
                     continue
                 for alpha_next in ahead:
                     gamma = conjugate(alpha_next)
                     for ql in parts_of[beta.size + gamma.size]:
-                        if lr_coefficient(ql, beta, gamma):
-                            nxt.add((alpha_next, head + (ql,)))
+                        c2 = lr_coefficient(ql, beta, gamma)
+                        if c2:
+                            key = (alpha_next, head + (ql,))
+                            nxt[key] = nxt.get(key, 0) + val * c1 * c2
         states = nxt
-    return {ql for _, ql in states}
+    return {ql: total for (_, ql), total in states.items()}
 
 
 def rouquier_column(mu, b, ctx=None):
     """The full column of d_{lambda,mu} over a Rouquier block.
 
-    The support is generated from mu's shifted quotient
-    (`_rouquier_support`), each lambda is built from its quotient by
-    interleaving runners, and each entry is evaluated by `_rouquier_value`.
-    When mu's quotient is all columns, the hook reduction is also evaluated
-    on every quotient of the block off the support and must vanish there.
-    The column reads no block data; a context ctx, when given, must be b's.
+    One pass over the LR chains (`_rouquier_terms`) gives the support and
+    the LR totals from mu's shifted quotient qm; the entry at ql is
+    q^delta times its total, delta = sum_{j<e-1} (e-1-j)(|ql_j| - |qm_j|),
+    and each lambda is built from its quotient by interleaving runners.
+    When qm is all columns, the hook reduction is evaluated on every
+    quotient of the block and must equal the entry there, 0 off the
+    support.  Columns are kept in the context's "rouquier" cache.
     """
+    cache = BlockContext.of(b, ctx).cache("rouquier")
+    if mu in cache:
+        return cache[mu]
     c = rouquier_charge(b)
     if c is None:
         raise ValueError("%r is not a Rouquier block" % (b,))
     if block_of(mu, b.e) != b:
         raise ValueError("mu must lie in the block")
-    BlockContext.of(b, ctx)  # refuses a context of another block
     e = b.e
     qm = shifted_quotient(mu, e, c)
-    support = _rouquier_support(qm, b.weight)
-    levels = core_levels(b.core, e)
-    out = {}
-    for ql in support:
-        v = _rouquier_value(ql, qm, e)
-        if not v:
-            raise AssertionError("a generated Rouquier term has value 0")
-        # runner r of the display shifted by c is runner r - c unshifted
-        out[_from_levels(levels, ql[c:] + ql[:c])] = v
+    sm = [q.size for q in qm]
+    values = {}
+    for ql, total in _rouquier_terms(qm, b.weight).items():
+        delta = sum((e - 1 - j) * (ql[j].size - sm[j]) for j in range(e - 1))
+        values[ql] = LaurentPoly.monomial(delta, total)
     if all(q.parts == (1,) * len(q.parts) for q in qm):
         for ql in quotient_tuples(e, b.weight):
-            if _rouquier_d_reduced(ql, qm) and ql not in support:
-                raise AssertionError("the hook reduction is nonzero off the LR support at %r" % (ql,))
-    return FockVector(out)
+            if _rouquier_d_reduced(ql, qm) != values.get(ql, LaurentPoly.zero()):
+                raise AssertionError("the hook reduction disagrees with the LR formula %s the LR support at %r"
+                                     % ("on" if ql in values else "off", ql))
+    levels = core_levels(b.core, e)
+    # runner r of the display shifted by c is runner r - c unshifted
+    col = FockVector({_from_levels(levels, ql[c:] + ql[:c]): v for ql, v in values.items()})
+    cache[mu] = col
+    return col
 
 
 # -- exceptional families ----------------------------------------------------
@@ -561,19 +514,16 @@ def exceptional_family(gen, pair):
 class InductiveEngine:
     """Scopes-chain construction of canonical-basis columns.
 
-    Columns are kept packed over one offset lo, {mask: {exponent: int}} as
-    `fock` steps them, and cached per block; chains are seeded so that every
-    prefix block reuses the same route back to its Rouquier base.  Every
-    stored term keeps at least two filled positions at the bottom of its
-    mask (lo <= -(rows + 2)), so a step, which adds at most one row, stays
-    in range; a stored column that would break this first moves lo down
-    and re-pads every column.  Only the column that `column` returns is
-    unpacked.
+    The columns of a block b are kept packed over its offset `_offset(b)`,
+    {mask: {exponent: int}} as `fock` steps them, and cached per block;
+    chains are seeded so that every prefix block reuses the same route back
+    to its Rouquier base.  A step works over the offsets of the blocks it
+    reads and moves its result to the offset of the block it writes
+    (`_move`).  Only the column that `column` returns is unpacked.
     """
 
     def __init__(self, e):
         self.e = e
-        self.lo = -2
         self.cols = {}
         self.chains = {}
 
@@ -589,19 +539,19 @@ class InductiveEngine:
         return unpack(self._column(mu))
 
     def _column(self, mu):
-        """G(mu) packed over self.lo."""
+        """G(mu) packed over the offset of its block."""
         e = self.e
         b = block_of(mu, e)
         key = (b, mu)
         if key in self.cols:
             return self.cols[key]
         if b.weight == 0:
-            return self._store(b, mu, self._pack(FockVector.basis(mu)))
+            return self._store(b, mu, _pack(FockVector.basis(mu), b))
         z = z_label(mu, e)
         if not is_m_increasing(z, 4):
             raise ValueError("inductive_G requires a 4-increasing partition")
         if is_rouquier(b):
-            return self._store(b, mu, self._pack(rouquier_column(mu, b)))
+            return self._store(b, mu, _pack(rouquier_column(mu, b), b))
         # walk back along the Scopes chain to the Rouquier base, then build
         # the z-matched columns forward iteratively (chains can be long)
         blocks, chain = self.chain(b)
@@ -613,7 +563,7 @@ class InductiveEngine:
             if block_of(rep, e) != blocks[i] or z_label(rep, e) != z:
                 raise AssertionError("Weyl transport left the expected block or label")
         if (blocks[0], reps[0]) not in self.cols:
-            self._store(blocks[0], reps[0], self._pack(rouquier_column(reps[0], blocks[0])))
+            self._store(blocks[0], reps[0], _pack(rouquier_column(reps[0], blocks[0]), blocks[0]))
         for i in range(1, len(blocks)):
             if (blocks[i], reps[i]) in self.cols:
                 continue
@@ -622,26 +572,11 @@ class InductiveEngine:
             self._store(blocks[i], reps[i], self._step(reps[i], reps[i - 1], pair))
         return self.cols[key]
 
-    def _repad(self, d):
-        """Move lo down by d > 0, re-padding every stored column."""
-        self.lo -= d
-        self.cols = {key: _pad(col, d) for key, col in self.cols.items()}
-
-    def _pack(self, v):
-        """The Fock vector v packed over self.lo, moved down to fit its rows."""
-        short = max(len(lam.parts) for lam in v.terms) + 2 + self.lo
-        if short > 0:
-            self._repad(short)
-        return {mask_of(lam, self.lo): dict(c.coeffs) for lam, c in v.terms.items()}
-
     def _store(self, b, mu, col):
-        if any(m & 3 != 3 for m in col):  # a term within two rows of lo
-            # a step from terms two rows clear of lo leaves them one row clear
-            if any(not m & 1 for m in col):
-                raise AssertionError("a packed term reached the offset")
-            self._repad(2)
-            col = _pad(col, 2)
-        m = facts(mu, self.e).abacus.mask_over(self.lo)
+        lo = _offset(b)
+        if any(m & 3 != 3 for m in col):
+            raise AssertionError("a packed term comes within two rows of its block's offset")
+        m = facts(mu, self.e).abacus.mask_over(lo)
         if col.get(m) != {0: 1}:
             raise AssertionError("inductive column is not unitriangular at mu")
         if any(min(c) <= 0 for x, c in col.items() if x != m):
@@ -651,8 +586,8 @@ class InductiveEngine:
 
     def _step(self, mu, prev, pair):
         """One Scopes step: G(mu) in s_a(B) from G(prev) in B, packed."""
-        e, lo = self.e, self.lo
-        a, k = pair.a, pair.k
+        e, a, k = self.e, pair.a, pair.k
+        lo = _offset(pair.tilde)
         m = facts(mu, e).abacus.mask_over(lo)
         rem = _removable(m) & _runner(a, e, lo, m.bit_length())
         if rem & (rem - 1):
@@ -663,27 +598,26 @@ class InductiveEngine:
             if fam is None:
                 raise AssertionError("1-increasing exceptional family must be hook-quotient")
             if mu == fam.upper[0]:
-                g = self._column(gen)
-                return step_F(g, a, 1, e, self.lo)
-        col = step_E(self.cols[(pair.block, prev)], a, k, e, lo)
-        fams = self._corrections(col, m, prev, pair)
-        for fam, _ in fams:
-            self._column(fam.generator)  # building it may move lo
-        if self.lo != lo:
-            col = _pad(col, lo - self.lo)
-        for fam, n in fams:
-            corr = step_F(self._column(fam.generator), a, 1, e, self.lo)
-            _subtract_multiple(col, quantum_int(n - 1), corr)
+                return self._F(gen, a, lo)
+        blo = _offset(pair.block)
+        col = _move(step_E(self.cols[(pair.block, prev)], a, k, e, blo), blo, lo)
+        for fam, n in self._corrections(col, m, prev, pair):
+            _subtract_multiple(col, quantum_int(n - 1), self._F(fam.generator, a, lo))
         return col
+
+    def _F(self, gen, a, lo):
+        """F_a G(gen), packed over lo."""
+        glo = _offset(block_of(gen, self.e))
+        return _move(step_F(self._column(gen), a, 1, self.e, glo), glo, lo)
 
     def _corrections(self, col, m, prev, pair):
         """The families with s = 0 and n >= 2 for z(prev), with their n.
 
         Their generators are read off the offenders of col = E_a^(k) G(prev),
-        packed over self.lo with m the mask of its label: every
+        packed over the offset of s_a(B) with m the mask of its label: every
         lambdatilde^j of a family leads back to its one generator.
         """
-        e, lo = self.e, self.lo
+        e, lo = self.e, _offset(pair.tilde)
         gens = dict.fromkeys(
             _bead_back(x, pair.a, e, lo) for x, c in col.items() if x != m and min(c) <= 0
         )
@@ -698,11 +632,29 @@ class InductiveEngine:
         return out
 
 
-def _pad(vec, d):
-    """Packed terms moved to an offset d positions lower: each mask gains d
-    filled positions at the bottom."""
+def _offset(b):
+    """The packing offset of block b.  A member is b's core plus w rim
+    e-hooks, each adding at most e rows, so every member keeps two filled
+    positions above this offset and a step from one stays in range."""
+    return -(len(b.core.parts) + b.e * b.weight + 2)
+
+
+def _pack(v, b):
+    """The Fock vector v, whose terms lie in block b, packed over its offset."""
+    lo = _offset(b)
+    return {mask_of(lam, lo): dict(c.coeffs) for lam, c in v.terms.items()}
+
+
+def _move(vec, lo, new):
+    """Packed terms over offset lo moved to offset new; the positions below
+    new that a term drops must be filled."""
+    d = new - lo
+    if d <= 0:
+        return {(m << -d) | ((1 << -d) - 1): c for m, c in vec.items()}
     fill = (1 << d) - 1
-    return {(m << d) | fill: c for m, c in vec.items()}
+    if any(m & fill != fill for m in vec):
+        raise AssertionError("a packed term does not fit above the new offset")
+    return {m >> d: c for m, c in vec.items()}
 
 
 def _bead_back(m, a, e, lo):

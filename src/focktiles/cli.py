@@ -58,14 +58,14 @@ def _dnum_one(lam, mu, e, method, engines):
     if method == "closed":
         _closed_domain(mu, e)
         return d_closed(lam, mu, e)
-    if method == "llt":
+    if method in ("llt", "rouquier"):
         b = block_of(mu, e)
         ctx = engines.get(("ctx", b))
         if ctx is None:
             ctx = engines[("ctx", b)] = BlockContext(b)
-        return llt_G(mu, e, ctx).coeff(lam)
-    if method == "rouquier":
-        return rouquier_d(lam, mu, block_of(mu, e))
+        if method == "llt":
+            return llt_G(mu, e, ctx).coeff(lam)
+        return rouquier_d(lam, mu, b, ctx)
     if method == "inductive":
         eng = engines.setdefault(("ind", e), InductiveEngine(e))
         return eng.column(mu).coeff(lam)

@@ -95,9 +95,6 @@ class LaurentPoly:
     def coeff(self, exp):
         return self.coeffs.get(exp, 0)
 
-    def min_exp(self):
-        return min(self.coeffs) if self.coeffs else 0
-
     def bar(self):
         """The bar involution q -> q^{-1}."""
         return _wrap({-e: c for e, c in self.coeffs.items()})

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 from operator import and_, or_
 
 from .abacus import block_of
@@ -143,21 +144,18 @@ def build_tiling(b, m=4, ctx=None):
 
 
 def m_increasing_box(e, w, m, upper):
-    """All m-increasing integer vectors of length w with entries in [0, upper]."""
-    out = []
+    """All m-increasing integer vectors of length w with entries in [0, upper],
+    in lexicographic order (m >= 0).
 
-    def rec(prefix):
-        if len(prefix) == w:
-            out.append(tuple(prefix))
-            return
-        lo = prefix[-1] + m if prefix else 0
-        for v in range(max(lo, 0), upper + 1):
-            prefix.append(v)
-            rec(prefix)
-            prefix.pop()
-
-    rec([])
-    return out
+    v is m-increasing exactly when u_i = v_i - (m-1)(i-1) is strictly
+    increasing, so v runs over the w-subsets u of [0, upper - (m-1)(w-1)].
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return [
+        tuple(u + (m - 1) * i for i, u in enumerate(c))
+        for c in combinations(range(upper - (m - 1) * (w - 1) + 1), w)
+    ]
 
 
 def tiling_union(t):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import focktiles
 from focktiles import canonical, polytope
-from focktiles.partitions import EMPTY, all_partitions, is_e_regular, parse_partition
+from focktiles.partitions import EMPTY, all_partitions, conjugate, is_e_regular, parse_partition
 from focktiles.abacus import (
     BlockId,
     abacus_of,
@@ -22,6 +22,7 @@ from focktiles.abacus import (
     mask_of,
     partition_of,
     rouquier_charge,
+    scopes_chain_blocks,
     weight_of,
     weyl_s,
 )
@@ -40,7 +41,7 @@ from focktiles.fock import FockVector, apply_E, apply_F, removable_beads
 from focktiles.labels import BlockContext, is_m_increasing, z_label
 from focktiles.laurent import LaurentPoly, bar_symmetric_split
 from focktiles.polytope import d_closed, parallelotope_of
-from focktiles.verify import rouquier_block
+from focktiles.verify import ac3_blocks, rouquier_block
 
 
 q = LaurentPoly.monomial
@@ -311,22 +312,68 @@ def test_rouquier_examples():
         rouquier_d(P("4,1"), P("5"), b)
 
 
+def _rouquier_value(ql, qm, e):
+    """Reference: the LR-product formula for one pair, given the shifted
+    quotients, by a DP over the chains alpha_0 = empty, ..., alpha_e = empty
+    whose sizes the two quotients fix."""
+    sl = [q.size for q in ql]
+    sm = [q.size for q in qm]
+    delta = sum((e - 1 - j) * (sl[j] - sm[j]) for j in range(e - 1))
+    a_sizes = [0] * (e + 1)
+    for i in range(1, e + 1):
+        a_sizes[i] = a_sizes[i - 1] + sl[i - 1] - sm[i - 1]
+    b_sizes = [0] * e
+    acc = 0
+    for i in range(e):
+        b_sizes[i] = sm[i] + acc
+        acc += sm[i] - sl[i]
+    if any(x < 0 for x in a_sizes) or any(x < 0 for x in b_sizes):
+        return LaurentPoly.zero()
+    states = {EMPTY: 1}
+    for j in range(e):
+        betas = all_partitions(b_sizes[j])
+        nxt = {}
+        for alpha_next in all_partitions(a_sizes[j + 1]):
+            alpha_next_conj = conjugate(alpha_next)
+            tot = 0
+            for alpha, val in states.items():
+                inner = 0
+                for beta in betas:
+                    c1 = lr_coefficient(qm[j], alpha, beta)
+                    if not c1:
+                        continue
+                    inner += c1 * lr_coefficient(ql[j], beta, alpha_next_conj)
+                tot += val * inner
+            if tot:
+                nxt[alpha_next] = tot
+        states = nxt
+        if not states:
+            break
+    return LaurentPoly.monomial(delta) * LaurentPoly.of(states.get(EMPTY, 0))
+
+
 @pytest.mark.parametrize("e,w", [(5, 3), (6, 2)])
 def test_rouquier_column_matches_rouquier_d(e, w):
+    # rouquier_d reads the column; the reference evaluates each pair alone
     b = BlockId(e, core_from_levels(tuple((w - 1) * a for a in range(e)), e), w)
     assert is_rouquier(b)
     ctx = BlockContext(b)
-    for mu in ctx.members():
-        col = rouquier_column(mu, b, ctx)
-        for lam in ctx.members():
-            assert col.coeff(lam) == rouquier_d(lam, mu, b)
+    c = rouquier_charge(b)
+    quots = {lam: canonical.shifted_quotient(lam, e, c) for lam in ctx.members()}
+    for mu, qm in quots.items():
+        for lam, ql in quots.items():
+            assert rouquier_d(lam, mu, b, ctx) == _rouquier_value(ql, qm, e), (lam, mu)
+    # the answers do not depend on the context
+    mu = ctx.members()[len(quots) // 2]
+    for lam in ctx.members()[:10]:
+        assert rouquier_d(lam, mu, b) == rouquier_d(lam, mu, b, ctx)
 
 
 def _member_filter_column(mu, b, quots):
     """Reference: the LR-product formula evaluated on every member of b,
     given as (lambda, shifted quotient) pairs."""
     qm = canonical.shifted_quotient(mu, b.e, rouquier_charge(b))
-    return FockVector({lam: v for lam, ql in quots if (v := canonical._rouquier_value(ql, qm, b.e))})
+    return FockVector({lam: v for lam, ql in quots if (v := _rouquier_value(ql, qm, b.e))})
 
 
 @pytest.mark.parametrize("w", [0, 1, 2, 3, 4])
@@ -341,6 +388,26 @@ def test_generated_rouquier_column_matches_member_filter(w):
         mus = [mu for mu in ctx.members() if is_m_increasing(ctx.z_map()[mu], 0)]
         for mu in mus[:: 4 if w == 4 else 1]:
             assert rouquier_column(mu, b, ctx) == _member_filter_column(mu, b, quots), (mu, e)
+
+
+def test_rouquier_column_carries_lr_multiplicities():
+    # LR coefficients above 1 first occur at 6 nodes (c^{321}_{21,21} = 2),
+    # so only weight >= 6 sees whether the pass multiplies them in: against
+    # the per-pair reference on every column of (2,6), against LLT on the
+    # e-regular columns of (2,6) and (3,6)
+    big = 0
+    for e in (2, 3):
+        b = rouquier_block(e, 6)
+        ctx = BlockContext(b)
+        quots = [(lam, canonical.shifted_quotient(lam, e, rouquier_charge(b))) for lam in ctx.members()]
+        for mu in ctx.members():
+            col = rouquier_column(mu, b, ctx)
+            if e == 2:
+                assert col == _member_filter_column(mu, b, quots), mu
+            if is_e_regular(mu, e):
+                assert col == llt_G(mu, e, ctx), mu
+            big += any(c > 1 for v in col.terms.values() for c in v.coeffs.values())
+    assert big
 
 
 def test_rouquier_hook_check_covers_zero_entries(monkeypatch):
@@ -599,34 +666,21 @@ def test_inductive_with_live_corrections():
             assert col.coeff(lam) == d_closed(lam, mu, 9)
 
 
-class _RepaddingEngine(InductiveEngine):
-    """Moves lo down before it builds each new column, as a chain whose base
-    has more rows than every column so far would: the packed column a step
-    holds across that call must be re-padded with the stored ones."""
-
-    def _column(self, mu):
-        if (block_of(mu, self.e), mu) not in self.cols:
-            self._repad(1)
-        return super()._column(mu)
+def test_members_keep_two_rows_clear_of_the_block_offset():
+    # a member is the core plus w rim e-hooks of at most e rows each
+    blocks = list(ac3_blocks())
+    blocks += scopes_chain_blocks(block_of(P("17,7,2^4,1^5"), 10))[0]
+    for b in blocks:
+        assert max(len(lam.parts) for lam in enumerate_block(b)) <= -canonical._offset(b) - 2, b
 
 
-def test_columns_survive_moving_the_offset():
-    eng = _RepaddingEngine(9)
-    for mu in [P("18,5,2^4,1^9"), P("13,4,1^13")]:  # steps with live corrections
-        col = eng.column(mu)
-        for lam in BlockContext(block_of(mu, 9)).members():
-            assert col.coeff(lam) == d_closed(lam, mu, 9)
-
-
-def test_stored_terms_keep_two_rows_clear_of_the_offset():
-    eng = InductiveEngine(2)
-    eng.lo = -3
-    mu = P("2,1")  # one row clear of -3
-    eng._store(block_of(mu, 2), mu, {mask_of(mu, -3): {0: 1}})
-    assert eng.lo == -5 and eng.cols[(block_of(mu, 2), mu)] == {mask_of(mu, -5): {0: 1}}
-    nu = P("3,1,1,1,1")  # no row clear of -5: a step got out of range
-    with pytest.raises(AssertionError, match="reached the offset"):
-        eng._store(block_of(nu, 2), nu, {mask_of(nu, -5): {0: 1}})
+def test_move_refuses_a_term_below_the_new_offset():
+    mu = P("2,1")
+    vec = {mask_of(mu, -4): {0: 1}}
+    assert canonical._move(vec, -4, -6) == {mask_of(mu, -6): {0: 1}}
+    assert canonical._move(vec, -4, -2) == {mask_of(mu, -2): {0: 1}}
+    with pytest.raises(AssertionError, match="does not fit"):
+        canonical._move(vec, -4, -1)  # mu has two rows
 
 
 class _CheckedEngine(InductiveEngine):

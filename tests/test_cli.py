@@ -5,7 +5,11 @@ import os
 import subprocess
 import sys
 
+from focktiles.canonical import rouquier_column
 from focktiles.cli import run
+from focktiles.labels import BlockContext
+from focktiles.partitions import format_partition
+from focktiles.verify import rouquier_block
 
 
 def _capture(argv, stdin=None):
@@ -47,6 +51,19 @@ def test_batch_stdin():
     )
     assert code == 0
     assert out.splitlines() == ["q", "0"]
+    # every pair of one block, with a lambda of another block and a malformed
+    # line in the middle: the block's columns are shared across the batch
+    b = rouquier_block(4, 2)
+    ctx = BlockContext(b)
+    pairs = [(lam, mu) for mu in ctx.members() for lam in ctx.members()]
+    lines = [format_partition(lam) + ";" + format_partition(mu) for lam, mu in pairs]
+    half = len(lines) // 2
+    lines[half:half] = ["1;" + format_partition(pairs[half][1]), "bad;line"]
+    code, out, _ = _capture(["dnum", "--e", "4", "--method", "rouquier"], stdin="\n".join(lines) + "\n")
+    want = [str(rouquier_column(mu, b).coeff(lam)) for lam, mu in pairs]
+    want[half:half] = ["error", "error"]
+    assert code == 1
+    assert out.splitlines() == want
 
 
 def test_batch_survives_bad_lines():

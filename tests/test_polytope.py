@@ -16,6 +16,7 @@ from focktiles.polytope import (
     export_tiling,
     ext_adjacency,
     hypercube_of,
+    m_increasing_box,
     parallelotope_of,
     pi_membership,
 )
@@ -76,12 +77,37 @@ def test_tiling_figures():
     assert t0.cells[0][1].vertices() == [()]
 
 
+def _m_increasing_box_reference(w, m, upper):
+    """Reference: the m-increasing vectors by recursion on the prefix."""
+    out = []
+
+    def rec(prefix):
+        if len(prefix) == w:
+            out.append(tuple(prefix))
+            return
+        lo = prefix[-1] + m if prefix else 0
+        for v in range(max(lo, 0), upper + 1):
+            prefix.append(v)
+            rec(prefix)
+            prefix.pop()
+
+    rec([])
+    return out
+
+
 def test_tiling_laws_small():
     for b in [BlockId(6, EMPTY, 2), BlockId(5, P("1"), 2), BlockId(9, EMPTY, 3)]:
         t = build_tiling(b)
         assert check_discrete_union(t)
         assert check_cube_injectivity(t)
         assert check_common_faces(t)
+    # the box the union is checked against, in the same order
+    for w in range(5):
+        for m in range(6):
+            for upper in range(13):
+                assert m_increasing_box(0, w, m, upper) == _m_increasing_box_reference(w, m, upper)
+    with pytest.raises(ValueError):
+        m_increasing_box(4, 2, -1, 4)
 
 
 def test_build_tiling_refuses_a_context_of_another_block():

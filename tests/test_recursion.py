@@ -10,7 +10,6 @@ import focktiles
 BOUNDED_RECURSION = {
     "beadops.move_along.rec": "|Gamma| <= w",
     "partitions.all_partitions.rec": "n",
-    "polytope.m_increasing_box.rec": "w",
 }
 
 
