@@ -229,16 +229,16 @@ class Facts:
     """What is known of one partition at one e.  The abacus, core, quotient
     and weight are set on creation; each other slot is None until the code
     that owns the fact fills it on first use: `block_of` the block; `labels`
-    the movements with their runner chains, z, the modified basis and zhat;
-    `beadops` the Mullineux image."""
+    the hook-quotient flag, the movements with their runner chains, z, the
+    modified basis and zhat; `beadops` the Mullineux image."""
 
-    __slots__ = ("abacus", "core", "quotient", "weight", "block", "movements", "chains",
-                 "z", "modified", "hat_z", "mullineux")
+    __slots__ = ("abacus", "core", "quotient", "weight", "block", "hook_quotient", "movements",
+                 "chains", "z", "modified", "hat_z", "mullineux")
 
     def __init__(self, a):
         self.abacus = a
         self.core, self.quotient, self.weight = core_quotient_weight(a)
-        self.block = None
+        self.block = self.hook_quotient = None
         self.movements = self.chains = self.z = self.modified = self.hat_z = self.mullineux = None
 
 

@@ -25,7 +25,6 @@ from .abacus import (
     mask_of,
     partition_of,
     partition_of_mask,
-    quotient_tuples,
     rouquier_charge,
     scopes_chain_blocks,
     weyl_s,
@@ -33,6 +32,7 @@ from .abacus import (
 from .fock import FockVector, _accumulate, addable_beads, apply_F, removable_beads, step_E, step_F, unpack
 from .labels import (
     BlockContext,
+    is_hook_quotient,
     is_m_increasing,
     modified_basis,
     movements,
@@ -313,9 +313,11 @@ def rouquier_column(mu, b, ctx=None):
     and each lambda is built from its quotient by interleaving runners.
     When qm is all columns, the hook reduction is evaluated on every
     quotient of the block and must equal the entry there, 0 off the
-    support.  Columns are kept in the context's "rouquier" cache.
+    support; the block's quotients are listed once per context.  Columns
+    are kept in the context's "rouquier" cache.
     """
-    cache = BlockContext.of(b, ctx).cache("rouquier")
+    ctx = BlockContext.of(b, ctx)
+    cache = ctx.cache("rouquier")
     if mu in cache:
         return cache[mu]
     c = rouquier_charge(b)
@@ -331,7 +333,7 @@ def rouquier_column(mu, b, ctx=None):
         delta = sum((e - 1 - j) * (ql[j].size - sm[j]) for j in range(e - 1))
         values[ql] = LaurentPoly.monomial(delta, total)
     if all(q.parts == (1,) * len(q.parts) for q in qm):
-        for ql in quotient_tuples(e, b.weight):
+        for ql in ctx.quotients():
             if _rouquier_d_reduced(ql, qm) != values.get(ql, LaurentPoly.zero()):
                 raise AssertionError("the hook reduction disagrees with the LR formula %s the LR support at %r"
                                      % ("on" if ql in values else "off", ql))
@@ -447,10 +449,10 @@ def exceptional_family(gen, pair):
     C = addable_beads(gen, (a - 1) % e, e)
     if len(C) != k + 2:
         raise ValueError("generator has %d addable beads on runner a-1, expected %d" % (len(C), k + 2))
-    aba = abacus_of(gen, e)
-    quot = core_quotient_weight(aba)[1]
-    if any(q.part(2) > 1 for q in quot):
+    if not is_hook_quotient(gen, e):
         return None
+    f = facts(gen, e)
+    aba, quot = f.abacus, f.quotient
     if len(quot[(a - 1) % e].parts) > 1:
         return None
     if quot[a % e].part(1) > 1:

@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .abacus import BlockId, block_of, core_of, quotient_of
+from .abacus import FACTS_MAXSIZE, BlockId, block_of, core_of, quotient_of
 from .beadops import MoveError, lambda_of_hook, move_along, move_one, mullineux_crystal, mullineux_fast
 from .canonical import InductiveEngine, llt_G, rouquier_d
 from .labels import BlockContext, hat_z, is_m_increasing, lifted_json, modified_basis, z_label
@@ -47,11 +47,23 @@ def _closed_domain(mu, e):
 DOMAIN_ERRORS = (ValueError, IndexError, MoveError, ArithmeticError)
 
 
-def _dnum_line(line, e, method, engines):
+def _intern(labels, text):
+    """The partition written as text, parsed once while labels holds it: equal
+    texts give the same object.  labels is cleared when it holds
+    FACTS_MAXSIZE texts, so a long batch stays in bounded memory."""
+    lam = labels.get(text)
+    if lam is None:
+        if len(labels) >= FACTS_MAXSIZE:
+            labels.clear()
+        lam = labels[text] = parse_partition(text)
+    return lam
+
+
+def _dnum_line(line, e, method, engines, labels):
     parts = line.split(";")
     if len(parts) != 2:
         raise ValueError("expected 'lambda;mu', got %r" % line)
-    return _dnum_one(parse_partition(parts[0]), parse_partition(parts[1]), e, method, engines)
+    return _dnum_one(_intern(labels, parts[0]), _intern(labels, parts[1]), e, method, engines)
 
 
 def _dnum_one(lam, mu, e, method, engines):
@@ -125,6 +137,9 @@ def run(argv):
     except DOMAIN_ERRORS as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except RecursionError as exc:
+        print("error: the query recursed too deep (%s)" % exc, file=sys.stderr)
+        return 1
 
 
 def _dispatch(args):
@@ -168,13 +183,13 @@ def _dispatch(args):
         engines = {}
         if args.lam is None or args.mu is None:
             # a bad line answers "error" and the batch goes on; exit 1 at the end
-            code = 0
+            code, labels = 0, {}
             for n, line in enumerate(sys.stdin, 1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    val = _dnum_line(line, e, args.method, engines)
+                    val = _dnum_line(line, e, args.method, engines, labels)
                 except DOMAIN_ERRORS as exc:
                     print("error")
                     print("error: line %d: %s" % (n, exc), file=sys.stderr)

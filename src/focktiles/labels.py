@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
 
-from .abacus import enumerate_block, facts, quotient_of
+from .abacus import enumerate_block, facts, quotient_tuples
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,10 @@ def is_m_increasing(z, m):
 
 def is_hook_quotient(lam, e):
     """True iff every e-quotient component is a hook (x, 1^y)."""
-    return all(q.part(2) <= 1 for q in quotient_of(lam, e))
+    f = facts(lam, e)
+    if f.hook_quotient is None:
+        f.hook_quotient = all(q.part(2) <= 1 for q in f.quotient)
+    return f.hook_quotient
 
 
 def z_inverse(b, target, ctx=None):
@@ -235,7 +238,8 @@ def hat_z(lam, e):
 
 
 class BlockContext:
-    """Memo tables for one block: members, labels, canonical-basis columns.
+    """Memo tables for one block: members, quotients, labels,
+    canonical-basis columns.
 
     Per-block results live here and nowhere else.  Per-partition facts
     (core, quotient, movements, z, ...) live in the bounded, value-keyed
@@ -245,6 +249,7 @@ class BlockContext:
     def __init__(self, block):
         self.block = block
         self._members = None
+        self._quotients = None
         self._zmap = None
         self._zinv = None
         self.caches = {}
@@ -263,6 +268,13 @@ class BlockContext:
         if self._members is None:
             self._members = enumerate_block(self.block)
         return self._members
+
+    def quotients(self):
+        """Every e-tuple of partitions of total size w, in the order of
+        `abacus.quotient_tuples`."""
+        if self._quotients is None:
+            self._quotients = list(quotient_tuples(self.block.e, self.block.weight))
+        return self._quotients
 
     def z_map(self):
         if self._zmap is None:

@@ -75,10 +75,23 @@ def pi_membership(lam, target, e):
 
 def _cube_value(lam, mu, e):
     """The hypercube route: q^|zhat(mu) - zhat(lam)| when zhat(mu) is a
-    vertex of C(lam), else 0."""
-    zl, zm = hat_z(lam, e), hat_z(mu, e)
-    if zm in hypercube_of(lam, e).vertices():
-        return LaurentPoly.monomial(sum(map(abs, vec_sub(zm, zl))))
+    vertex of C(lam), else 0.
+
+    Every generator of C(lam) is one signed unit vector, and no two share a
+    coordinate.  So zhat(mu) is a vertex exactly when every nonzero
+    coordinate of zhat(mu) - zhat(lam) is that of a generator, with its
+    sign, and the box distance is the number of such coordinates.
+    """
+    cube = hypercube_of(lam, e)
+    sign = {}
+    for g in cube.generators:
+        nonzero = [(k, s) for k, s in enumerate(g) if s]
+        if len(nonzero) != 1 or nonzero[0][1] not in (1, -1) or nonzero[0][0] in sign:
+            raise AssertionError("hypercube generators are not distinct signed unit vectors")
+        sign.update(nonzero)
+    d = vec_sub(hat_z(mu, e), cube.anchor)
+    if all(sign.get(k) == c for k, c in enumerate(d) if c):
+        return LaurentPoly.monomial(sum(1 for c in d if c))
     return LaurentPoly.zero()
 
 

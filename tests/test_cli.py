@@ -5,10 +5,14 @@ import os
 import subprocess
 import sys
 
+import pytest
+
+from focktiles import cli
+from focktiles.abacus import block_of
 from focktiles.canonical import rouquier_column
 from focktiles.cli import run
-from focktiles.labels import BlockContext
-from focktiles.partitions import format_partition
+from focktiles.labels import BlockContext, is_m_increasing, z_label
+from focktiles.partitions import format_partition, parse_partition
 from focktiles.verify import rouquier_block
 
 
@@ -81,6 +85,94 @@ def test_batch_survives_bad_lines():
     assert errs[2] == "error: line 6: expected 'lambda;mu', got '1;1;1'"
     code, out, err = _capture(["dnum", "--e", "2", "--method", "llt"], stdin="3;3\n3,1,1;5\n")
     assert code == 0 and out.splitlines() == ["1", "q"] and not err
+
+
+def _batch_lines():
+    """Pairs of the e = 10 block of (17,7,2^4,1^5), each twice, its
+    partitions written once with exponents and once without (2^2,1 and
+    2,2,1), with malformed lines and a pair across two blocks in the middle."""
+    mu0 = parse_partition("17,7,2^4,1^5")
+    members = BlockContext(block_of(mu0, 10)).members()
+    mus = [mu for mu in members if is_m_increasing(z_label(mu, 10), 4)]
+    pairs = [(lam, mu) for lam in members[::30] for mu in mus]
+
+    def spell(lam, plain):
+        return ",".join(map(str, lam.parts)) if plain else format_partition(lam)
+
+    lines = [spell(lam, k % 2) + ";" + spell(mu, not k % 2) for k, (lam, mu) in enumerate(pairs)]
+    lines += [spell(lam, not k % 2) + ";" + spell(mu, k % 2) for k, (lam, mu) in enumerate(pairs)]
+    half = len(lines) // 2
+    lines[half:half] = ["bad;line", "1;1;1", "3,1;" + format_partition(mu0)]
+    return lines
+
+
+@pytest.mark.parametrize("method", ["closed", "llt"])
+def test_batch_answers_as_single_calls(method, monkeypatch):
+    lines = _batch_lines()
+    assert {"17,7,2^4,1^5", "17,7,2,2,2,2,1,1,1,1,1"} <= {t for line in lines for t in line.split(";")}
+    seen = {}
+    intern = cli._intern
+
+    def spy(labels, text):
+        lam = intern(labels, text)
+        seen.setdefault(text, []).append(lam)
+        return lam
+
+    monkeypatch.setattr(cli, "_intern", spy)
+    argv = ["dnum", "--e", "10", "--method", method]
+    code, out, _ = _capture(argv, stdin="\n".join(lines) + "\n")
+    monkeypatch.undo()
+    single = {}
+    for line in dict.fromkeys(lines):
+        parts = line.split(";")
+        c, o, _ = _capture(argv + parts) if len(parts) == 2 else (1, "", "")
+        single[line] = o.strip() if c == 0 else "error"
+    assert code == 1
+    assert out.splitlines() == [single[line] for line in lines]
+    # equal texts give one object, so lookups downstream hit on identity
+    assert sum(map(len, seen.values())) > len(seen)
+    assert all(x is objs[0] for objs in seen.values() for x in objs)
+
+
+def test_batch_label_memo_is_bounded(monkeypatch):
+    lines = [line for line in _batch_lines() if line.count(";") == 1 and "bad" not in line]
+    argv = ["dnum", "--e", "10"]
+    _, want, _ = _capture(argv, stdin="\n".join(lines) + "\n")
+    sizes, parsed = [], []
+    intern, parse = cli._intern, cli.parse_partition
+
+    def spy_intern(labels, text):
+        lam = intern(labels, text)
+        sizes.append(len(labels))
+        return lam
+
+    def spy_parse(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(cli, "_intern", spy_intern)
+    monkeypatch.setattr(cli, "parse_partition", spy_parse)
+    texts = {t for line in lines for t in line.split(";")}
+    _, out, _ = _capture(argv, stdin="\n".join(lines) + "\n")
+    assert out == want
+    assert len(parsed) == len(texts)
+    del parsed[:], sizes[:]
+    monkeypatch.setattr(cli, "FACTS_MAXSIZE", 3)
+    _, out, _ = _capture(argv, stdin="\n".join(lines) + "\n")
+    assert out == want
+    # texts are parsed again after each clear, and the memo stays bounded
+    assert len(parsed) > len(texts)
+    assert max(sizes) == 3
+
+
+def test_deep_recursion_is_refused(monkeypatch):
+    def deep(lam, e):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "z_label", deep)
+    code, out, err = _capture(["zlabel", "--e", "4", "5,5,4,2,2,2,1,1"])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verbs():

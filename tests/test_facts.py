@@ -7,7 +7,7 @@ from pathlib import Path
 import focktiles
 from focktiles.abacus import FACTS_MAXSIZE, core_of, facts, quotient_of
 from focktiles.beadops import mullineux_crystal
-from focktiles.labels import hat_z, modified_basis, z_label
+from focktiles.labels import hat_z, is_hook_quotient, modified_basis, z_label
 from focktiles.partitions import Partition, all_partitions, is_e_regular
 
 
@@ -31,8 +31,17 @@ def test_memo_is_bounded():
     assert core_of(first, 2) == core
 
 
+def test_hook_quotient_flag_is_kept_in_the_record():
+    hook, other = Partition((7, 3, 3, 2, 2, 1)), Partition((7, 4, 4, 1, 1, 1))
+    facts.cache_clear()
+    assert facts(hook, 4).hook_quotient is None
+    assert is_hook_quotient(hook, 4) is True and is_hook_quotient(other, 4) is False
+    assert facts(hook, 4).hook_quotient is True and facts(other, 4).hook_quotient is False
+
+
 def _snapshot(lam, e):
-    out = [core_of(lam, e), quotient_of(lam, e), z_label(lam, e), hat_z(lam, e)]
+    out = [core_of(lam, e), quotient_of(lam, e), is_hook_quotient(lam, e), z_label(lam, e),
+           hat_z(lam, e)]
     try:
         out.append(modified_basis(lam, e))
     except ValueError:

@@ -1,4 +1,6 @@
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -11,6 +13,7 @@ from focktiles.polytope import (
     check_common_faces,
     check_cube_injectivity,
     check_discrete_union,
+    _cube_value,
     _pi_route,
     d_closed,
     export_tiling,
@@ -21,6 +24,7 @@ from focktiles.polytope import (
     pi_membership,
 )
 from focktiles.canonical import rouquier_d
+from focktiles.verify import ac3_blocks
 
 
 q = LaurentPoly.monomial
@@ -226,3 +230,59 @@ def test_shift_by_three():
                     assert is_m_increasing(zl, m - 3)
                 if is_m_increasing(zl, m):
                     assert is_m_increasing(zm, m - 3)
+
+
+def test_cube_coordinates_agree_with_the_vertex_list():
+    # the hypercube route tests coordinates; the 2^w vertex list of C(lam)
+    # is the reference, on every (hook-quotient lam, 4-increasing mu) pair
+    from focktiles.labels import hat_z, is_hook_quotient, vec_sub
+
+    pairs = accepted = 0
+    for b in ac3_blocks() + [BlockId(12, EMPTY, 3)]:
+        ctx = BlockContext(b)
+        e = b.e
+        four = [mu for mu in ctx.members() if is_m_increasing(ctx.z_map()[mu], 4)]
+        for lam in ctx.members():
+            if not is_hook_quotient(lam, e):
+                continue
+            verts = set(hypercube_of(lam, e).vertices())
+            for mu in four:
+                hm = hat_z(mu, e)
+                want = LaurentPoly.zero()
+                if hm in verts:
+                    want = q(sum(map(abs, vec_sub(hm, hat_z(lam, e)))))
+                    accepted += 1
+                assert _cube_value(lam, mu, e) == want, (lam, mu, b)
+                pairs += 1
+    assert 0 < accepted < pairs
+
+
+def test_d_closed_at_high_weight():
+    # w = 24 at e = 8w + 2: lam has a single box on every seventh runner,
+    # so z(lam) = (w-1, w+4, ...) and mu = lam + eps_Gamma is 4-increasing.
+    # C(lam) has 2^24 vertices; the coordinate test never lists them.
+    from focktiles.abacus import _from_levels, facts
+    from focktiles.beadops import move_along
+    from focktiles.labels import is_hook_quotient
+    from focktiles.partitions import Partition
+
+    w = 24
+    e = 8 * w + 2
+    quot = [EMPTY] * e
+    for i in range(w):
+        quot[7 * i] = Partition((1,))
+    lam = _from_levels((0,) * e, tuple(quot))
+    gamma = range(1, w + 1, 2)
+    mu = move_along(lam, gamma, e)
+    assert is_hook_quotient(lam, e) and is_m_increasing(z_label(mu, e), 4)
+    facts.cache_clear()
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        value = d_closed(lam, mu, e)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == q(len(gamma))
+    assert elapsed < 1.0 and peak < 50 * 2**20
