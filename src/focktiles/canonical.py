@@ -15,10 +15,8 @@ from .abacus import (
     _matched_signature,
     _removable,
     _runner,
-    abacus_of,
     block_of,
     core_levels,
-    core_quotient_weight,
     core_tops,
     facts,
     is_rouquier,
@@ -40,7 +38,7 @@ from .labels import (
     z_label,
 )
 from .laurent import LaurentPoly, bar_symmetric_split, quantum_int
-from .partitions import EMPTY, Partition, all_partitions, conjugate, dominance_leq, is_e_regular
+from .partitions import EMPTY, Partition, all_partitions, conjugate, is_e_regular
 
 
 # -- LLT algorithm ----------------------------------------------------------
@@ -67,18 +65,6 @@ def ladder_monomial(mu, e):
     for res, mult in ladder_sequence(mu, e):
         v = apply_F(v, res, mult, e)
     return v
-
-
-def _dominance_max(cands):
-    """A dominance-maximal element, ties broken by descending part tuples."""
-    best = None
-    for x in sorted(cands, key=lambda p: p.parts, reverse=True):
-        if all(y == x or not dominance_leq(x, y) for y in cands):
-            best = x
-            break
-    if best is None:
-        raise AssertionError("no dominance-maximal candidate")
-    return best
 
 
 def llt_G(mu, e, ctx=None):
@@ -129,10 +115,13 @@ def _crystal_column(m, e, lo):
     column in packed form, and returns its own.  The walk down removes all
     eps_i normal beads of the residue i with the most of them, until the
     label is empty; the climb back applies F_i^(eps_i) at each step and
-    subtracts bar-invariant multiples of G(x), x dominance-largest first,
-    until the step's target t has coefficient 1 and every other label one
-    in qZ[q].  A correction x has eps_i(x) > eps_i(t), which is the most
-    normal beads of any residue at t, so the chain of corrections ends.
+    subtracts bar-invariant multiples of G(x), x the largest offending
+    mask first, until the step's target t has coefficient 1 and every other
+    label one in qZ[q].  Over one offset the integer order of masks is the
+    lexicographic order of partitions, which refines dominance, so no
+    offender dominates the largest one.  A correction x has
+    eps_i(x) > eps_i(t), which is the most normal beads of any residue at
+    t, so the chain of corrections ends.
     """
     steps = []
     while _removable(m):
@@ -148,20 +137,16 @@ def _crystal_column(m, e, lo):
         v = step_F(v, i, k, e, lo)
         guard = 0
         while True:
-            offenders = {
-                partition_of_mask(x): x
-                for x, c in v.items()
-                if (c != {0: 1} if x == t else min(c) <= 0)
-            }
+            offenders = [x for x, c in v.items() if (c != {0: 1} if x == t else min(c) <= 0)]
             if not offenders:
                 break
             guard += 1
             if guard > 10000:
                 raise AssertionError("LLT elimination failed to terminate")
-            nu = _dominance_max(offenders)
-            x = offenders[nu]
+            x = max(offenders)
             if x == t:
                 raise AssertionError("LLT column is not unitriangular at its label")
+            nu = partition_of_mask(x)
             if not is_e_regular(nu, e):
                 raise AssertionError("LLT correction hit an e-singular label")
             alpha, _ = bar_symmetric_split(LaurentPoly(v[x]))
@@ -235,8 +220,10 @@ def lr_coefficient(rho, sigma, tau):
 
 
 def shifted_quotient(lam, e, c):
-    """The e-quotient read off the abacus display shifted by charge c."""
-    return core_quotient_weight(abacus_of(lam, e).shift(c))[1]
+    """The e-quotient read off the abacus display shifted by charge c: the
+    shift moves runner r to runner r + c, so it is lam's quotient rotated."""
+    q, k = facts(lam, e).quotient, -c % e
+    return q[k:] + q[:k]
 
 
 def rouquier_d(lam, mu, b, ctx=None):
@@ -516,12 +503,13 @@ def exceptional_family(gen, pair):
 class InductiveEngine:
     """Scopes-chain construction of canonical-basis columns.
 
-    The columns of a block b are kept packed over its offset `_offset(b)`,
-    {mask: {exponent: int}} as `fock` steps them, and cached per block;
-    chains are seeded so that every prefix block reuses the same route back
-    to its Rouquier base.  A step works over the offsets of the blocks it
-    reads and moves its result to the offset of the block it writes
-    (`_move`).  Only the column that `column` returns is unpacked.
+    The column of mu is kept packed over the offset `_offset(b)` of its
+    block b, {mask: {exponent: int}} as `fock` steps them, and cached by mu,
+    which fixes b at the engine's e.  The chain of each block asked for is
+    kept as `scopes_chain_blocks` gives it, so a chain of L steps holds O(L)
+    slots.  A step works over the offsets of the blocks it reads and moves
+    its result to the offset of the block it writes (`_move`).  Only the
+    column that `column` returns is unpacked.
     """
 
     def __init__(self, e):
@@ -531,9 +519,7 @@ class InductiveEngine:
 
     def chain(self, b):
         if b not in self.chains:
-            blocks, chain = scopes_chain_blocks(b)
-            for j in range(len(blocks)):
-                self.chains.setdefault(blocks[j], (blocks[: j + 1], chain[:j]))
+            self.chains[b] = scopes_chain_blocks(b)
         return self.chains[b]
 
     def column(self, mu):
@@ -542,11 +528,10 @@ class InductiveEngine:
 
     def _column(self, mu):
         """G(mu) packed over the offset of its block."""
+        if mu in self.cols:
+            return self.cols[mu]
         e = self.e
         b = block_of(mu, e)
-        key = (b, mu)
-        if key in self.cols:
-            return self.cols[key]
         if b.weight == 0:
             return self._store(b, mu, _pack(FockVector.basis(mu), b))
         z = z_label(mu, e)
@@ -564,15 +549,15 @@ class InductiveEngine:
         for i, rep in enumerate(reps):
             if block_of(rep, e) != blocks[i] or z_label(rep, e) != z:
                 raise AssertionError("Weyl transport left the expected block or label")
-        if (blocks[0], reps[0]) not in self.cols:
+        if reps[0] not in self.cols:
             self._store(blocks[0], reps[0], _pack(rouquier_column(reps[0], blocks[0]), blocks[0]))
         for i in range(1, len(blocks)):
-            if (blocks[i], reps[i]) in self.cols:
+            if reps[i] in self.cols:
                 continue
             a, k = chain[i - 1]
             pair = ScopesPair(block=blocks[i - 1], tilde=blocks[i], a=a, k=k)
             self._store(blocks[i], reps[i], self._step(reps[i], reps[i - 1], pair))
-        return self.cols[key]
+        return self.cols[mu]
 
     def _store(self, b, mu, col):
         lo = _offset(b)
@@ -583,7 +568,7 @@ class InductiveEngine:
             raise AssertionError("inductive column is not unitriangular at mu")
         if any(min(c) <= 0 for x, c in col.items() if x != m):
             raise AssertionError("inductive column violates triangularity")
-        self.cols[(b, mu)] = col
+        self.cols[mu] = col
         return col
 
     def _step(self, mu, prev, pair):
@@ -602,7 +587,7 @@ class InductiveEngine:
             if mu == fam.upper[0]:
                 return self._F(gen, a, lo)
         blo = _offset(pair.block)
-        col = _move(step_E(self.cols[(pair.block, prev)], a, k, e, blo), blo, lo)
+        col = _move(step_E(self.cols[prev], a, k, e, blo), blo, lo)
         for fam, n in self._corrections(col, m, prev, pair):
             _subtract_multiple(col, quantum_int(n - 1), self._F(fam.generator, a, lo))
         return col

@@ -114,7 +114,6 @@ def build_parser():
     p = add("block", "core", "weight", help="list the partitions of a block")
     p = add("tiling", "core", "weight", help="export the tiling of a block")
     p.add_argument("--format", choices=["json", "svg"], default="json")
-    p.add_argument("-m", type=int, default=4)
     p = add("mullineux", "partition", help="Mullineux-Kleshchev involution")
     p.add_argument("--algo", choices=["crystal", "fast"], default="crystal")
     p = add("moveone", "partition", "r", help="single parallelotope move")
@@ -191,11 +190,12 @@ def _dispatch(args):
                 try:
                     val = _dnum_line(line, e, args.method, engines, labels)
                 except DOMAIN_ERRORS as exc:
-                    print("error")
+                    print(json.dumps({"error": str(exc)}) if args.json else "error")
                     print("error: line %d: %s" % (n, exc), file=sys.stderr)
                     code = 1
                     continue
-                print(str(val))
+                # the JSON answer is built only when asked for: batches are long
+                print(json.dumps({"d": val.to_pairs()}) if args.json else val)
             return code
         val = _dnum_one(parse_partition(args.lam), parse_partition(args.mu), e, args.method, engines)
         _emit(args, str(val), {"d": val.to_pairs()})
@@ -245,7 +245,7 @@ def _dispatch(args):
         return 0
     if v == "tiling":
         b = BlockId(e, parse_partition(args.core), int(args.weight))
-        t = build_tiling(b, m=args.m)
+        t = build_tiling(b)
         sys.stdout.write(export_tiling(t, args.format).decode())
         return 0
     if v == "moveone":

@@ -72,11 +72,6 @@ class Partition:
         """Containment of Young diagrams."""
         return all(self.part(i + 1) >= p for i, p in enumerate(other.parts))
 
-    def residue(self, cell, e):
-        """e-residue j - i mod e of a node."""
-        i, j = cell
-        return (j - i) % e
-
 
 EMPTY = Partition(())
 
@@ -125,11 +120,10 @@ def is_e_regular(lam, e):
 
 @dataclass(frozen=True)
 class RimHook:
-    """A rimhook of a partition: its cell set, size and generating node."""
+    """A rimhook of a partition: its cell set and size."""
 
     cells: frozenset
     size: int
-    hand: tuple
 
     def __post_init__(self):
         if len(self.cells) != self.size:
@@ -139,8 +133,7 @@ class RimHook:
 def _hook_from_removal(lam, inner):
     """RimHook with cells [lam] minus [inner]; inner must sit inside lam."""
     cells = frozenset(set(lam.cells()) - set(inner.cells()))
-    hand = (min(i for i, _ in cells), min(j for _, j in cells))
-    return RimHook(cells=cells, size=len(cells), hand=hand)
+    return RimHook(cells=cells, size=len(cells))
 
 
 def hooks_e(lam, e):

@@ -25,6 +25,9 @@ from .labels import (
 )
 from .laurent import LaurentPoly
 
+# The tiling laws are stated for 4-increasing labels.
+TILING_M = 4
+
 
 @dataclass(frozen=True)
 class Parallelotope:
@@ -33,7 +36,6 @@ class Parallelotope:
 
     anchor: tuple
     generators: tuple
-    owner: object
 
     def vertices(self):
         """anchor + the sum of the generators in Gamma, for every Gamma; the
@@ -47,12 +49,12 @@ class Parallelotope:
 
 
 def parallelotope_of(lam, e):
-    return Parallelotope(anchor=z_label(lam, e), generators=modified_basis(lam, e), owner=lam)
+    return Parallelotope(anchor=z_label(lam, e), generators=modified_basis(lam, e))
 
 
 def hypercube_of(lam, e):
     """C(lambda): the lift of Pi(lambda)."""
-    return Parallelotope(hat_z(lam, e), tuple(lift(v) for v in modified_basis(lam, e)), lam)
+    return Parallelotope(hat_z(lam, e), tuple(lift(v) for v in modified_basis(lam, e)))
 
 
 def pi_membership(lam, target, e):
@@ -124,7 +126,6 @@ class Tiling:
     """All parallelotope/hypercube cells of the hook-quotient members of a block."""
 
     block: object
-    m: int
     cells: list  # (owner, Pi(owner), C(owner))
 
     def generic_cells(self):
@@ -136,27 +137,26 @@ class Tiling:
                 out.append((owner, pi, cube))
         return out
 
-    def generator_classes(self, cells=None):
-        """Distinct generator multisets among the given cells (default: generic)."""
-        cells = self.generic_cells() if cells is None else cells
+    def generator_classes(self):
+        """Distinct generator multisets among the generic cells."""
         classes = {}
-        for owner, pi, _ in cells:
+        for owner, pi, _ in self.generic_cells():
             key = tuple(sorted(pi.generators))
             classes.setdefault(key, []).append(owner)
         return classes
 
 
-def build_tiling(b, m=4, ctx=None):
+def build_tiling(b, ctx=None):
     """Cells for every hook-quotient partition in the block."""
     ctx = BlockContext.of(b, ctx)
     cells = []
     for lam in ctx.members():
         if is_hook_quotient(lam, b.e):
             cells.append((lam, parallelotope_of(lam, b.e), hypercube_of(lam, b.e)))
-    return Tiling(block=b, m=m, cells=cells)
+    return Tiling(block=b, cells=cells)
 
 
-def m_increasing_box(e, w, m, upper):
+def m_increasing_box(w, m, upper):
     """All m-increasing integer vectors of length w with entries in [0, upper],
     in lexicographic order (m >= 0).
 
@@ -176,7 +176,7 @@ def tiling_union(t):
     pts = set()
     for _, pi, _ in t.cells:
         for v in pi.vertices():
-            if is_m_increasing(v, t.m):
+            if is_m_increasing(v, TILING_M):
                 pts.add(v)
     return pts
 
@@ -185,7 +185,7 @@ def check_discrete_union(t):
     """Coverage: the union of m-increasing cell vertices is the whole
     m-increasing part of [0, e]^w."""
     e, w = t.block.e, t.block.weight
-    want = set(m_increasing_box(e, w, t.m, e))
+    want = set(m_increasing_box(w, TILING_M, e))
     got = tiling_union(t)
     return got == want
 
@@ -197,7 +197,7 @@ def check_cube_injectivity(t):
     for _, _, cube in t.cells:
         for v in cube.vertices():
             pv = project(v)
-            if not is_m_increasing(pv, t.m):
+            if not is_m_increasing(pv, TILING_M):
                 continue
             if pv in seen and seen[pv] != v:
                 return False
@@ -225,7 +225,7 @@ def check_common_faces(t):
     cells = t.cells
     data = []
     for owner, pi, _ in cells:
-        vs = set(v for v in pi.vertices() if is_m_increasing(v, t.m))
+        vs = set(v for v in pi.vertices() if is_m_increasing(v, TILING_M))
         data.append((owner, pi, vs))
     for i in range(len(data)):
         for j in range(i + 1, len(data)):
@@ -236,9 +236,9 @@ def check_common_faces(t):
                 continue
             f1 = _minimal_face(p1, inter)
             f2 = _minimal_face(p2, inter)
-            if {v for v in f1 if is_m_increasing(v, t.m)} != inter:
+            if {v for v in f1 if is_m_increasing(v, TILING_M)} != inter:
                 return False
-            if {v for v in f2 if is_m_increasing(v, t.m)} != inter:
+            if {v for v in f2 if is_m_increasing(v, TILING_M)} != inter:
                 return False
             z1 = z_label(o1, t.block.e)
             z2 = z_label(o2, t.block.e)
@@ -293,7 +293,7 @@ def tiling_to_json(t):
         "e": t.block.e,
         "core": list(t.block.core.parts),
         "weight": t.block.weight,
-        "m": t.m,
+        "m": TILING_M,
         "cells": cells,
     }
 

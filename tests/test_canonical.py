@@ -1,5 +1,7 @@
 import ast
+import hashlib
 import inspect
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
@@ -9,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 import focktiles
 from focktiles import canonical, polytope
-from focktiles.partitions import EMPTY, all_partitions, conjugate, is_e_regular, parse_partition
+from focktiles.partitions import EMPTY, all_partitions, conjugate, dominance_leq, is_e_regular, parse_partition
 from focktiles.abacus import (
     BlockId,
     abacus_of,
     block_of,
     core_from_levels,
+    core_quotient_weight,
     core_reflection_counts,
     core_tops,
     enumerate_block,
@@ -168,6 +171,17 @@ def test_llt_eliminates_an_offender_above_the_label():
     assert G == _reference_column(mu, 2, ladder_monomial, {})
 
 
+def test_mask_order_is_the_lexicographic_order():
+    # LLT corrects the largest offending mask first: over one offset the
+    # integer order of masks is the lexicographic order of partitions, and
+    # that order refines dominance, so no offender dominates the largest
+    parts = [lam for n in range(13) for lam in all_partitions(n)]
+    assert sorted(parts, key=lambda lam: mask_of(lam, -14)) == sorted(parts, key=lambda lam: lam.parts)
+    for n in range(11):
+        ps = all_partitions(n)
+        assert all(lam.parts <= mu.parts for lam in ps for mu in ps if dominance_leq(lam, mu))
+
+
 def test_llt_matches_pruned_fold_reference_on_rouquier_72():
     # the five (7,2) labels of the pruned-fold test below, core of 126 nodes
     from focktiles._ladders import _Window, ladder_fold
@@ -219,7 +233,7 @@ def _route_names(root):
 
 def test_llt_route_is_independent_of_the_other_routes():
     fns, names = _route_names("llt_G")
-    assert {"_llt_column", "_crystal_column", "_dominance_max"} <= fns
+    assert {"_llt_column", "_crystal_column"} <= fns
     polytope_names = {n for n, v in vars(polytope).items() if getattr(v, "__module__", None) == polytope.__name__}
     assert not names & (polytope_names | {"polytope"})
     assert not [n for n in names if n.startswith("rouquier_")]
@@ -350,6 +364,18 @@ def _rouquier_value(ql, qm, e):
         if not states:
             break
     return LaurentPoly.monomial(delta) * LaurentPoly.of(states.get(EMPTY, 0))
+
+
+def _shifted_abacus_quotient(lam, e, c):
+    """Reference: the quotient read off the abacus display shifted by c."""
+    return core_quotient_weight(abacus_of(lam, e).shift(c))[1]
+
+
+def test_shifted_quotient_is_the_rotated_quotient():
+    for lam in (lam for n in range(13) for lam in all_partitions(n)):
+        for e in range(2, 7):
+            for c in range(2 * e + 1):
+                assert canonical.shifted_quotient(lam, e, c) == _shifted_abacus_quotient(lam, e, c)
 
 
 @pytest.mark.parametrize("e,w", [(5, 3), (6, 2)])
@@ -664,6 +690,32 @@ def test_inductive_with_live_corrections():
         ctx = BlockContext(block_of(mu, 9))
         for lam in ctx.members():
             assert col.coeff(lam) == d_closed(lam, mu, 9)
+
+
+def test_engine_keeps_one_chain_per_block_asked_for():
+    # the (20, empty, 2) chain has 1,330 steps; a copy of the route of every
+    # prefix block would hold about 1,330^2 / 2 list slots, 15 MiB traced
+    b = BlockId(20, EMPTY, 2)
+    eng = InductiveEngine(20)
+    tracemalloc.start()
+    try:
+        blocks, chain = eng.chain(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(chain) == 1330 and blocks[-1] == b
+    assert list(eng.chains) == [b]
+    assert peak < 5 * 2**20
+
+
+def test_scopes_column_of_the_13_4_block_is_pinned():
+    # the one 4-increasing column of the (13, empty, 4) block, 1,092 Scopes
+    # steps from its Rouquier base, pinned byte for byte
+    mu = P("22,5,2^4,1^17")
+    col = InductiveEngine(13).column(mu)
+    entries = sorted((lam.parts, col.coeff(lam).to_pairs()) for lam in col.support())
+    digest = hashlib.sha256(repr((mu.parts, entries)).encode()).hexdigest()
+    assert digest == "aa62acc709d2d3570b7c8d689d6d12a76e8b8e1bba84832b8a7ba212275b77ac"
 
 
 def test_members_keep_two_rows_clear_of_the_block_offset():

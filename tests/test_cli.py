@@ -87,6 +87,21 @@ def test_batch_survives_bad_lines():
     assert code == 0 and out.splitlines() == ["1", "q"] and not err
 
 
+def test_batch_json():
+    # with --json each non-empty line answers one object, a pair as its
+    # single query does; stderr and the exit code stay those of the batch
+    argv = ["dnum", "--e", "2", "--method", "llt"]
+    stdin = "2,1;3\n3;3\nbad;line\n\n3,1,1;5\n"
+    code, out, err = _capture(["--json"] + argv, stdin=stdin)
+    assert (code, err) == _capture(argv, stdin=stdin)[::2]
+    singles = [json.loads(_capture(["--json"] + argv + pair.split(";"))[1])
+               for pair in ("2,1;3", "3;3", "3,1,1;5")]
+    assert [json.loads(line) for line in out.splitlines()] == (
+        singles[:2] + [{"error": "bad partition token 'bad'"}] + singles[2:]
+    )
+    assert singles == [{"d": []}, {"d": [[0, 1]]}, {"d": [[1, 1]]}]
+
+
 def _batch_lines():
     """Pairs of the e = 10 block of (17,7,2^4,1^5), each twice, its
     partitions written once with exponents and once without (2^2,1 and

@@ -109,9 +109,9 @@ def test_tiling_laws_small():
     for w in range(5):
         for m in range(6):
             for upper in range(13):
-                assert m_increasing_box(0, w, m, upper) == _m_increasing_box_reference(w, m, upper)
+                assert m_increasing_box(w, m, upper) == _m_increasing_box_reference(w, m, upper)
     with pytest.raises(ValueError):
-        m_increasing_box(4, 2, -1, 4)
+        m_increasing_box(2, -1, 4)
 
 
 def test_build_tiling_refuses_a_context_of_another_block():
