@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations, product
+from operator import itemgetter
 
 from .partitions import EMPTY, Partition
 
@@ -27,9 +28,8 @@ from .partitions import EMPTY, Partition
 
 def mask_of(lam, lo):
     """Packed beta-set of lam over offset lo (requires lo <= -len(lam))."""
-    parts = lam.parts
-    m = (1 << (-lo - len(parts))) - 1
-    for i, p in enumerate(parts, start=1):
+    m = (1 << (-lo - len(lam))) - 1
+    for i, p in enumerate(lam, start=1):
         m |= 1 << (p - i - lo)
     return m
 
@@ -84,37 +84,26 @@ def _runner(r, e, lo, width):
     return ((1 << (e * n)) - 1) // ((1 << e) - 1) << p
 
 
-class Abacus:
-    """A packed beta-set on e runners: bit p of mask is position base + p."""
+class Abacus(tuple):
+    """A packed beta-set on e runners as the tuple (e, base, mask): bit p of
+    mask is position base + p, and base is the least unoccupied position."""
 
-    __slots__ = ("e", "base", "mask")
+    __slots__ = ()
 
-    def __init__(self, e, base, mask):
+    def __new__(cls, e, base, mask):
         if e < 2:
             raise ValueError("e must be at least 2")
         if mask < 0:
             raise ValueError("mask must be nonnegative")
         ones = (mask ^ (mask + 1)).bit_length() - 1  # beads filling up from base
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "base", base + ones)
-        object.__setattr__(self, "mask", mask >> ones)
+        return tuple.__new__(cls, (e, base + ones, mask >> ones))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Abacus is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Abacus)
-            and self.e == other.e
-            and self.base == other.base
-            and self.mask == other.mask
-        )
-
-    def __hash__(self):
-        return hash((self.e, self.base, self.mask))
+    e = property(itemgetter(0))
+    base = property(itemgetter(1))
+    mask = property(itemgetter(2))
 
     def __repr__(self):
-        return "Abacus(e=%d, base=%d, mask=%#x)" % (self.e, self.base, self.mask)
+        return "Abacus(e=%d, base=%d, mask=%#x)" % self
 
     # -- basic queries ----------------------------------------------------
 
@@ -190,7 +179,7 @@ class Abacus:
 
 def abacus_of(lam, e):
     """The abacus of beta(lambda) = {lambda_i - i}."""
-    lo = -len(lam.parts)
+    lo = -len(lam)
     return Abacus(e, lo, mask_of(lam, lo))
 
 
@@ -273,7 +262,7 @@ def weight_of(lam, e):
 def is_core(lam, e):
     """Whether lam is an e-core: every bead at p has a bead at p - e.  Read
     off the packed beta-set, without a `facts` record."""
-    lo = -len(lam.parts)
+    lo = -len(lam)
     m = mask_of(lam, lo)
     return not m & ~((m << e) | ((1 << e) - 1))
 
@@ -331,7 +320,7 @@ def _from_levels(levels, quot):
     """The partition whose runner r holds quot[r] below the top of a core
     runner at level levels[r]: the beta-set of quot[r] in charge
     levels[r] + 1, every runner starting at the common level k0."""
-    k0 = min(lv + 1 - len(nu.parts) for lv, nu in zip(levels, quot))
+    k0 = min(lv + 1 - len(nu) for lv, nu in zip(levels, quot))
     runners = [bin(mask_of(nu, k0 - lv - 1))[:1:-1] for lv, nu in zip(levels, quot)]
     return _partition_of_bits(_interleave(runners))
 
@@ -349,7 +338,7 @@ def enumerate_block(b):
     """All partitions with the block's e-core and e-weight."""
     levels = core_levels(b.core, b.e)
     out = [_from_levels(levels, quot) for quot in quotient_tuples(b.e, b.weight)]
-    out.sort(key=lambda p: p.parts, reverse=True)
+    out.sort(reverse=True)
     return out
 
 
@@ -465,7 +454,7 @@ def add_full_runner(lam, e):
     level |lam|*e.
     """
     n = lam.size
-    k0 = -(len(lam.parts) // e) - 1  # lam's runners start at level k0
+    k0 = -(len(lam) // e) - 1  # lam's runners start at level k0
     s = bin(mask_of(lam, k0 * e))[:1:-1]
     full = "1" * (n * e + n - k0)  # levels k0 - n, ..., n*e - 1
     return _partition_of_bits(_interleave([s[r::e] for r in range(e)] + [full]))

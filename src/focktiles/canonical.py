@@ -510,6 +510,12 @@ class InductiveEngine:
     slots.  A step works over the offsets of the blocks it reads and moves
     its result to the offset of the block it writes (`_move`).  Only the
     column that `column` returns is unpacked.
+
+    Every column built is kept, not only a step's predecessor: later columns
+    pick up their chains from them, and correction generators are read
+    again.  Keeping only the columns asked for took 10,415 Scopes steps over
+    AC-3 instead of 6,771, and 3,101 instead of 2,806 on the (13,4) column
+    mu = 22,5,2^4,1^17.
     """
 
     def __init__(self, e):

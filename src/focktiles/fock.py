@@ -68,12 +68,12 @@ class FockVector:
         return self.terms.get(lam, LaurentPoly.zero())
 
     def support(self):
-        return sorted(self.terms, key=lambda p: p.parts, reverse=True)
+        return sorted(self.terms, reverse=True)
 
     def to_json(self):
         return [
             {"partition": list(lam.parts), "coeff": c.to_pairs()}
-            for lam, c in sorted(self.terms.items(), key=lambda kv: kv[0].parts, reverse=True)
+            for lam, c in sorted(self.terms.items(), reverse=True)
         ]
 
     def __repr__(self):

@@ -4,18 +4,23 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from operator import lt
+from operator import itemgetter, lt
 
 
-class Partition:
+class Partition(tuple):
     """A partition as a weakly decreasing tuple of positive integers.
 
-    Immutable and hashable; the empty tuple is the empty partition.
+    It is a `tuple`, so hashing, equality, lexicographic order, length,
+    iteration and immutability are the tuple's own; the empty tuple is the
+    empty partition.  Two trade-offs follow: a partition equals the plain
+    tuple of its parts (so no dict may mix partitions with integer tuples
+    as keys), and it has the tuple operations, such as `+`, slicing and
+    `count`, which return plain tuples.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
+    def __new__(cls, parts=()):
         parts = tuple(map(int, parts))
         if 0 in parts:
             parts = tuple(filter(None, parts))
@@ -23,30 +28,11 @@ class Partition:
             raise ValueError("parts must be positive: %r" % (parts,))
         if any(map(lt, parts, parts[1:])):
             raise ValueError("parts must be weakly decreasing: %r" % (parts,))
-        object.__setattr__(self, "parts", parts)
+        return tuple.__new__(cls, parts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Partition is immutable")
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __lt__(self, other):
-        # lexicographic on part tuples; refines dominance (used only as a
-        # deterministic tie-break order, never for mathematical content)
-        return self.parts < other.parts
-
-    def __le__(self, other):
-        return self.parts <= other.parts
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
+    # the parts as a plain tuple, read in C: a full slice of a tuple
+    # subclass is a new plain tuple
+    parts = property(itemgetter(slice(None)))
 
     def __repr__(self):
         return "Partition(%r)" % (self.parts,)
@@ -56,21 +42,21 @@ class Partition:
 
     @property
     def size(self):
-        return sum(self.parts)
+        return sum(self)
 
     def part(self, i):
         """The i-th part (1-based); zero beyond the last row."""
-        return self.parts[i - 1] if 1 <= i <= len(self.parts) else 0
+        return self[i - 1] if 1 <= i <= len(self) else 0
 
     def cells(self):
         """Iterate over the nodes (i, j) of the Young diagram, 1-based."""
-        for i, p in enumerate(self.parts, start=1):
+        for i, p in enumerate(self, start=1):
             for j in range(1, p + 1):
                 yield (i, j)
 
     def contains(self, other):
         """Containment of Young diagrams."""
-        return all(self.part(i + 1) >= p for i, p in enumerate(other.parts))
+        return all(self.part(i + 1) >= p for i, p in enumerate(other))
 
 
 EMPTY = Partition(())
@@ -78,11 +64,10 @@ EMPTY = Partition(())
 
 def conjugate(lam):
     """Transpose of the Young diagram."""
-    parts = lam.parts
-    if not parts:
+    if not lam:
         return EMPTY
-    out = [0] * parts[0]
-    for p in parts:
+    out = [0] * lam[0]
+    for p in lam:
         for j in range(p):
             out[j] += 1
     return Partition(out)
@@ -110,7 +95,7 @@ def is_e_regular(lam, e):
         raise ValueError("e must be at least 2")
     run = 0
     prev = None
-    for p in lam.parts:
+    for p in lam:
         run = run + 1 if p == prev else 1
         prev = p
         if run >= e:
@@ -198,16 +183,15 @@ def parse_partition(text):
 
 def format_partition(lam):
     """Render a partition in the shared text format."""
-    if not lam.parts:
+    if not lam:
         return "0"
     out = []
     i = 0
-    parts = lam.parts
-    while i < len(parts):
+    while i < len(lam):
         j = i
-        while j < len(parts) and parts[j] == parts[i]:
+        while j < len(lam) and lam[j] == lam[i]:
             j += 1
-        out.append(str(parts[i]) if j - i == 1 else "%d^%d" % (parts[i], j - i))
+        out.append(str(lam[i]) if j - i == 1 else "%d^%d" % (lam[i], j - i))
         i = j
     return ",".join(out)
 

@@ -473,7 +473,7 @@ SUITES = {
 }
 
 
-def run(names=None, out=print):
+def run(names=None):
     """Run the requested suites (all by default), in order; returns overall success."""
     names = list(SUITES) if not names else names
     for name in names:
@@ -485,5 +485,5 @@ def run(names=None, out=print):
         t0 = time.time()
         ok, detail = fn()
         ok_all = ok_all and ok
-        out("%s %-4s %-34s %s (%.1fs)" % ("PASS" if ok else "FAIL", name.upper(), title, detail, time.time() - t0))
+        print("%s %-4s %-34s %s (%.1fs)" % ("PASS" if ok else "FAIL", name.upper(), title, detail, time.time() - t0))
     return ok_all
