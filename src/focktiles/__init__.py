@@ -7,7 +7,7 @@ Littlewood-Richardson formula, and a Scopes-chain induction), all in
 exact integer / Laurent-polynomial arithmetic.
 """
 
-from .partitions import Partition, RimHook, conjugate, dominance_leq, hooks_e, is_e_regular
+from .partitions import Partition, conjugate, dominance_leq, is_e_regular
 from .laurent import LaurentPoly, quantum_int, quantum_factorial, bar_symmetric_split
 from .abacus import (
     Abacus,
@@ -27,7 +27,9 @@ from .abacus import (
 )
 from .labels import (
     BeadMovement,
+    RimHook,
     movements,
+    hooks_e,
     z_label,
     z_inverse,
     is_m_increasing,

@@ -15,12 +15,12 @@ beta-set of the r-th quotient component.  Runners are read by slicing
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, combinations, product
 from operator import itemgetter
 
-from .partitions import EMPTY, Partition
+from .partitions import EMPTY, Partition, all_partitions
 
 
 # -- packed beta-sets -------------------------------------------------------
@@ -267,19 +267,17 @@ def is_core(lam, e):
     return not m & ~((m << e) | ((1 << e) - 1))
 
 
-@dataclass(frozen=True)
-class BlockId:
+class BlockId(namedtuple("BlockId", "e core weight")):
     """A block: all partitions sharing an e-core and e-weight."""
 
-    e: int
-    core: Partition
-    weight: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.weight < 0:
+    def __new__(cls, e, core, weight):
+        if weight < 0:
             raise ValueError("weight must be nonnegative")
-        if not is_core(self.core, self.e):
-            raise ValueError("%r is not an %d-core" % (self.core, self.e))
+        if not is_core(core, e):
+            raise ValueError("%r is not an %d-core" % (core, e))
+        return tuple.__new__(cls, (e, core, weight))
 
     def to_json(self):
         return {"e": self.e, "core": list(self.core.parts), "weight": self.weight}
@@ -327,8 +325,6 @@ def _from_levels(levels, quot):
 
 def quotient_tuples(e, w):
     """Every e-tuple of partitions of total size w: the quotients of a block."""
-    from .partitions import all_partitions
-
     parts_of = [all_partitions(n) for n in range(w + 1)]
     for comp in _compositions(w, e):
         yield from product(*[parts_of[c] for c in comp])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from .abacus import abacus_of, block_of, conormal_slots, facts, normal_beads, partition_of
 from .labels import (
+    hooks_e,
     is_hook_quotient,
     is_m_increasing,
     modified_basis,
@@ -182,8 +183,6 @@ def move_along(lam, gamma, e, want_trace=False):
 
 def lambda_of_hook(lam, hook, e):
     """lambda_H: hook surgery at the movement index of the rimhook H."""
-    from .partitions import hooks_e
-
     hooks = hooks_e(lam, e)
     try:
         r = next(i for i, h in enumerate(hooks, start=1) if h == hook)

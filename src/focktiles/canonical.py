@@ -7,10 +7,9 @@ parallelotope formula, which is what makes the cross-checks meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .abacus import (
-    BlockId,
     _from_levels,
     _matched_signature,
     _removable,
@@ -38,7 +37,7 @@ from .labels import (
     z_label,
 )
 from .laurent import LaurentPoly, bar_symmetric_split, quantum_int
-from .partitions import EMPTY, Partition, all_partitions, conjugate, is_e_regular
+from .partitions import EMPTY, all_partitions, conjugate, is_e_regular
 
 
 # -- LLT algorithm ----------------------------------------------------------
@@ -334,31 +333,25 @@ def rouquier_column(mu, b, ctx=None):
 # -- exceptional families ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScopesPair:
-    """Blocks B and s_a(B) forming a [w:k]-pair for the runner a."""
+class ScopesPair(namedtuple("ScopesPair", "block tilde a k")):
+    """Blocks B (block) and s_a(B) (tilde) forming a [w:k]-pair for the
+    runner a."""
 
-    block: BlockId  # B
-    tilde: BlockId  # s_a(B)
-    a: int
-    k: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExceptionalFamily:
-    """The 2(k+2) partitions F-generated from a generator with E = 0."""
+class ExceptionalFamily(namedtuple(
+        "ExceptionalFamily", "generator k hat lower upper internal external eta ext_eps z0")):
+    """The 2(k+2) partitions F-generated from a generator with E = 0.
 
-    pair: ScopesPair
-    generator: Partition  # in the weight w-k-1 block
-    k: int
-    hat: Partition
-    lower: tuple  # lambda^0 .. lambda^{k+1} in B
-    upper: tuple  # lambdatilde^0 .. lambdatilde^{k+1} in s_a(B)
-    internal: tuple  # i_0 < ... < i_k
-    external: tuple
-    eta: tuple  # k+2 vectors in Z^w
-    ext_eps: dict  # x in external -> eps vector (common to all members)
-    z0: tuple  # z(lambda^0) = z(lambdatilde^0)
+    generator lies in the weight w-k-1 block; lower is lambda^0 .. lambda^{k+1}
+    in B and upper is lambdatilde^0 .. lambdatilde^{k+1} in s_a(B); internal
+    is i_0 < ... < i_k; eta holds k+2 vectors in Z^w; ext_eps maps each x in
+    external to its eps vector (common to all members); z0 = z(lambda^0) =
+    z(lambdatilde^0).
+    """
+
+    __slots__ = ()
 
     def members(self):
         return (self.generator, self.hat) + self.lower + self.upper
@@ -483,7 +476,6 @@ def exceptional_family(gen, pair):
     if z0 != z_label(upper[0], e):
         raise AssertionError("z(lambda^0) != z(lambdatilde^0)")
     return ExceptionalFamily(
-        pair=pair,
         generator=gen,
         k=k,
         hat=hat,
@@ -659,7 +651,6 @@ def _bead_back(m, a, e, lo):
     return m ^ rem ^ (rem >> 1)
 
 
-def inductive_G(mu, e, engine=None):
+def inductive_G(mu, e):
     """Canonical basis column via the Scopes-chain induction."""
-    engine = engine or InductiveEngine(e)
-    return engine.column(mu)
+    return InductiveEngine(e).column(mu)

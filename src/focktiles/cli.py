@@ -6,13 +6,13 @@ import argparse
 import json
 import sys
 
-from .abacus import FACTS_MAXSIZE, BlockId, block_of, core_of, quotient_of
+from .abacus import FACTS_MAXSIZE, BlockId, block_of, core_of, enumerate_block, quotient_of
 from .beadops import MoveError, lambda_of_hook, move_along, move_one, mullineux_crystal, mullineux_fast
-from .canonical import InductiveEngine, llt_G, rouquier_d
-from .labels import BlockContext, hat_z, is_m_increasing, lifted_json, modified_basis, z_label
-from .partitions import format_partition, hooks_e, parse_partition
+from .canonical import InductiveEngine, llt_G, rouquier_column, rouquier_d
+from .fock import FockVector
+from .labels import BlockContext, hat_z, hooks_e, is_m_increasing, lifted_json, modified_basis, z_label
+from .partitions import format_partition, parse_partition
 from .polytope import build_tiling, d_closed, export_tiling, pi_membership
-from . import verify as verify_mod
 
 
 def _plist(lam):
@@ -144,8 +144,11 @@ def run(argv):
 def _dispatch(args):
     v = args.verb
     if v == "verify":
+        # imported here, so that no other verb loads the suites
+        from . import verify
+
         names = None if args.suite == "all" else [args.suite]
-        return 0 if verify_mod.run(names) else 1
+        return 0 if verify.run(names) else 1
     e = args.e
     if v in ("core", "quotient", "zlabel", "hatz", "epsilon", "mullineux"):
         lam = parse_partition(args.partition)
@@ -207,14 +210,10 @@ def _dispatch(args):
         if args.method == "llt":
             col = llt_G(mu, e, ctx)
         elif args.method == "rouquier":
-            from .canonical import rouquier_column
-
             col = rouquier_column(mu, b, ctx)
         elif args.method == "inductive":
             col = InductiveEngine(e).column(mu)
         else:
-            from .fock import FockVector
-
             _closed_domain(mu, e)
             col = FockVector({lam: d_closed(lam, mu, e) for lam in ctx.members()})
         payload = {
@@ -234,8 +233,6 @@ def _dispatch(args):
         return 0
     if v == "block":
         b = BlockId(e, parse_partition(args.core), int(args.weight))
-        from .abacus import enumerate_block
-
         members = enumerate_block(b)
         if args.json:
             print(json.dumps({"block": b.to_json(), "partitions": [list(m.parts) for m in members]}, sort_keys=True))

@@ -1,21 +1,19 @@
-"""Bead movements, armlength labels z and zhat, modified basis vectors."""
+"""Bead movements, rimhooks, armlength labels z and zhat, modified basis vectors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import isqrt
 
-from .abacus import enumerate_block, facts, quotient_tuples
+from .abacus import abacus_of, enumerate_block, facts, partition_of, quotient_tuples
 
 
-@dataclass(frozen=True)
-class BeadMovement:
-    """One e-step slide of the bead originally at b, starting at q."""
+class BeadMovement(namedtuple("BeadMovement", "b q index")):
+    """One e-step slide of the bead originally at b, starting at q; index is
+    its 1-based rank in the total order (q first, then b)."""
 
-    b: int
-    q: int
-    index: int  # 1-based rank in the total order (q first, then b)
+    __slots__ = ()
 
 
 def _moved(lam, e):
@@ -50,6 +48,49 @@ def _moved(lam, e):
 def movements(lam, e):
     """The bead movements of lam, in the total order (by q, then b)."""
     return _moved(lam, e).movements
+
+
+class RimHook(namedtuple("RimHook", "cells")):
+    """A rimhook of a partition: its cell set."""
+
+    __slots__ = ()
+
+    @property
+    def size(self):
+        return len(self.cells)
+
+
+def _hook_from_removal(lam, inner):
+    """RimHook with cells [lam] minus [inner]; inner must sit inside lam."""
+    return RimHook(frozenset(set(lam.cells()) - set(inner.cells())))
+
+
+def hooks_e(lam, e):
+    """All rimhooks of lam of size divisible by e, in bead-movement order.
+
+    The movement (b; b-ie) corresponds to the rimhook removed by sliding the
+    bead at b up to the (i+1)-th gap above it on its runner; this pairs the
+    movements of each bead bijectively with its rimhooks and fixes the
+    canonical indexing shared with the movement order.
+    """
+    if e < 2:
+        raise ValueError("e must be at least 2")
+    aba = abacus_of(lam, e)
+    gaps = {}
+    out = []
+    for mv in movements(lam, e):
+        if mv.b not in gaps:
+            found = []
+            t = mv.b - e
+            while len(found) < aba.weight_of(mv.b):
+                if not aba.occupied(t):
+                    found.append(t)
+                t -= e
+            gaps[mv.b] = found
+        y = gaps[mv.b][(mv.b - mv.q) // e]
+        removed = partition_of(aba.move_bead(mv.b, y))
+        out.append(_hook_from_removal(lam, removed))
+    return out
 
 
 def z_label(lam, e):

@@ -1,9 +1,8 @@
-"""Partitions, Young diagrams, rimhooks, dominance, e-regularity."""
+"""Partitions, Young diagrams, dominance, e-regularity."""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import itemgetter, lt
 
 
@@ -101,55 +100,6 @@ def is_e_regular(lam, e):
         if run >= e:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class RimHook:
-    """A rimhook of a partition: its cell set and size."""
-
-    cells: frozenset
-    size: int
-
-    def __post_init__(self):
-        if len(self.cells) != self.size:
-            raise ValueError("rimhook size does not match its cell count")
-
-
-def _hook_from_removal(lam, inner):
-    """RimHook with cells [lam] minus [inner]; inner must sit inside lam."""
-    cells = frozenset(set(lam.cells()) - set(inner.cells()))
-    return RimHook(cells=cells, size=len(cells))
-
-
-def hooks_e(lam, e):
-    """All rimhooks of lam of size divisible by e, in bead-movement order.
-
-    The movement (b; b-ie) corresponds to the rimhook removed by sliding the
-    bead at b up to the (i+1)-th gap above it on its runner; this pairs the
-    movements of each bead bijectively with its rimhooks and fixes the
-    canonical indexing shared with the movement order.
-    """
-    from .abacus import abacus_of, partition_of
-    from .labels import movements
-
-    if e < 2:
-        raise ValueError("e must be at least 2")
-    aba = abacus_of(lam, e)
-    gaps = {}
-    out = []
-    for mv in movements(lam, e):
-        if mv.b not in gaps:
-            found = []
-            t = mv.b - e
-            while len(found) < aba.weight_of(mv.b):
-                if not aba.occupied(t):
-                    found.append(t)
-                t -= e
-            gaps[mv.b] = found
-        y = gaps[mv.b][(mv.b - mv.q) // e]
-        removed = partition_of(aba.move_bead(mv.b, y))
-        out.append(_hook_from_removal(lam, removed))
-    return out
 
 
 _EXP_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
@@ -29,13 +29,11 @@ from .laurent import LaurentPoly
 TILING_M = 4
 
 
-@dataclass(frozen=True)
-class Parallelotope:
+class Parallelotope(namedtuple("Parallelotope", "anchor generators")):
     """Pi(lambda), the 2^w labels z(lambda) + eps_Gamma, or its lift
     C(lambda), anchored at zhat(lambda) with the lifted eps as generators."""
 
-    anchor: tuple
-    generators: tuple
+    __slots__ = ()
 
     def vertices(self):
         """anchor + the sum of the generators in Gamma, for every Gamma; the
@@ -121,12 +119,11 @@ def d_closed(lam, mu, e):
     return value
 
 
-@dataclass
-class Tiling:
-    """All parallelotope/hypercube cells of the hook-quotient members of a block."""
+class Tiling(namedtuple("Tiling", "block cells")):
+    """All parallelotope/hypercube cells of the hook-quotient members of a
+    block; cells lists (owner, Pi(owner), C(owner))."""
 
-    block: object
-    cells: list  # (owner, Pi(owner), C(owner))
+    __slots__ = ()
 
     def generic_cells(self):
         e = self.block.e

@@ -18,6 +18,8 @@ from .abacus import (
     block_of,
     core_from_levels,
     core_of,
+    core_reflection_counts,
+    core_tops,
     enumerate_block,
     is_core,
     is_rouquier,
@@ -39,6 +41,7 @@ from .fock import FockVector, apply_E, apply_F, pairing
 from .labels import (
     BlockContext,
     hat_z,
+    hooks_e,
     is_hook_quotient,
     is_m_increasing,
     modified_basis,
@@ -53,7 +56,6 @@ from .partitions import (
     all_partitions,
     conjugate,
     dominance_leq,
-    hooks_e,
     is_e_regular,
     parse_partition,
 )
@@ -63,6 +65,7 @@ from .polytope import (
     check_cube_injectivity,
     check_discrete_union,
     d_closed,
+    parallelotope_of,
     pi_membership,
 )
 
@@ -202,8 +205,6 @@ def ac1():
     conds.append(("llt agrees at (3,1,1)", llt_G(P("5"), 2).coeff(P("3,1,1")) == q(1)))
     conds.append(("llt agrees at (3,2)", llt_G(P("5"), 2).coeff(P("3,2")) == LaurentPoly.zero()))
     # Pi((3,2)) vertex list
-    from .polytope import parallelotope_of
-
     conds.append(
         ("Pi((3,2)) vertices", set(parallelotope_of(P("3,2"), 2).vertices())
          == {(1, 1), (1, 2), (2, 0), (2, 1)})
@@ -256,8 +257,6 @@ def ac2():
 
 def ac3():
     """Inductive columns equal closed columns; E/F annihilation at the pair."""
-    from .abacus import core_reflection_counts, core_tops
-
     per_weight = {}
     engines = {}
     for b in ac3_blocks():

@@ -1,6 +1,6 @@
 import pytest
 
-from focktiles.partitions import EMPTY, Partition, all_partitions, conjugate, hooks_e, is_e_regular, parse_partition
+from focktiles.partitions import EMPTY, Partition, all_partitions, conjugate, is_e_regular, parse_partition
 from focktiles.abacus import Abacus, BlockId, abacus_of, block_of, core_from_levels, enumerate_block, partition_of
 from focktiles.beadops import (
     MoveError,
@@ -15,6 +15,7 @@ from focktiles.beadops import (
 )
 from focktiles.labels import (
     BlockContext,
+    hooks_e,
     is_hook_quotient,
     is_m_increasing,
     modified_basis,

@@ -33,6 +33,7 @@ from focktiles.canonical import (
     InductiveEngine,
     ScopesPair,
     exceptional_family,
+    inductive_G,
     ladder_monomial,
     ladder_sequence,
     llt_G,
@@ -635,6 +636,10 @@ def test_inductive_engine():
         assert col.coeff(nu) == d_closed(nu, mu, 10)
     with pytest.raises(ValueError):
         eng.column(P("16,8,1^13"))  # 1-increasing but not 4-increasing
+
+
+def test_inductive_G_answers_the_ac1_pair():
+    assert inductive_G(P("17,7,2^4,1^5"), 10).coeff(P("16,8,1^13")) == q(2)
 
 
 def test_inductive_annihilation():

@@ -247,6 +247,12 @@ def test_exit_codes():
     assert code == 1 and out == "" and err.startswith("error:")
 
 
+def test_rouquier_refusal_names_the_block():
+    code, out, err = _capture(["gcolumn", "--e", "3", "--method", "rouquier", "3,2,1"])
+    assert code == 1 and out == ""
+    assert err == "error: BlockId(e=3, core=Partition(()), weight=2) is not a Rouquier block\n"
+
+
 def test_moveone_index_out_of_range():
     # (7,3,3,2,2,1) has w = 4 movements at e = 4
     for r in ("0", "5"):

@@ -8,12 +8,11 @@ from focktiles.partitions import (
     conjugate,
     dominance_leq,
     format_partition,
-    hooks_e,
     is_e_regular,
     parse_partition,
 )
 from focktiles.abacus import weight_of
-from focktiles.labels import z_label
+from focktiles.labels import hooks_e, z_label
 
 
 partitions_30 = st.integers(0, 18).flatmap(

@@ -131,9 +131,8 @@ def test_ext_adjacency():
     assert pairs
     pairset = {frozenset((x, y)) for x, y in pairs}
     # pairs (lam, lam_H) with both 4-increasing are adjacent
-    from focktiles.partitions import hooks_e
     from focktiles.beadops import lambda_of_hook
-    from focktiles.labels import is_hook_quotient
+    from focktiles.labels import hooks_e, is_hook_quotient
 
     from focktiles.beadops import MoveError
 

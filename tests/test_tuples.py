@@ -1,6 +1,7 @@
-"""`Partition` and `Abacus` are tuples: hashing, equality, order and
-immutability are `tuple`'s own, and no other library class hand-writes its
-identity methods unless it is listed here with its reason."""
+"""`Partition` and `Abacus` are tuples, and so are the value records, each
+a `namedtuple` subclass: hashing, equality, order and immutability are
+`tuple`'s own, no module imports `dataclasses`, and no other library class
+hand-writes its identity methods unless it is listed here with its reason."""
 
 import ast
 import types
@@ -9,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import focktiles
-from focktiles.abacus import Abacus, abacus_of
-from focktiles.partitions import Partition, all_partitions
+from focktiles.abacus import Abacus, BlockId, abacus_of
+from focktiles.canonical import ExceptionalFamily, ScopesPair
+from focktiles.labels import BeadMovement, RimHook, hooks_e
+from focktiles.partitions import EMPTY, Partition, all_partitions
+from focktiles.polytope import Parallelotope, Tiling
 
 SMALL = [lam for n in range(11) for lam in all_partitions(n)]
 
@@ -80,3 +84,44 @@ def test_no_class_hand_writes_its_identity():
     found = {name for path in Path(focktiles.__file__).parent.glob("*.py")
              for name in _classes_with_identity(path)}
     assert found == set(HAND_WRITTEN_IDENTITY)
+
+
+RECORDS = (BlockId, RimHook, BeadMovement, ScopesPair, ExceptionalFamily, Parallelotope, Tiling)
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in Path(focktiles.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found += [(path.stem, a.name) for a in node.names if a.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+                found.append((path.stem, node.module))
+    assert found == []
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
+def test_records_are_tuples(cls):
+    assert issubclass(cls, tuple) and cls.__slots__ == ()
+    assert cls.__eq__ is tuple.__eq__ and cls.__hash__ is tuple.__hash__
+    # _make builds the tuple as it stands, without BlockId's checks
+    r = cls._make(range(len(cls._fields)))
+    assert not hasattr(r, "__dict__")
+    assert hash(r) == hash(tuple(r))
+    with pytest.raises(AttributeError):
+        setattr(r, cls._fields[0], 0)
+
+
+def test_rimhook_size_is_its_cell_count():
+    for lam in SMALL:
+        for e in (2, 3):
+            for h in hooks_e(lam, e):
+                assert h.size == len(h.cells) and h.size % e == 0
+
+
+def test_blockid_checks_its_fields():
+    assert BlockId(3, EMPTY, 2) == (3, EMPTY, 2)
+    with pytest.raises(ValueError, match="^weight must be nonnegative$"):
+        BlockId(3, EMPTY, -1)
+    with pytest.raises(ValueError, match=r"^Partition\(\(3,\)\) is not an 3-core$"):
+        BlockId(3, Partition((3,)), 1)
