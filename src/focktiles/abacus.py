@@ -219,15 +219,16 @@ class Facts:
     and weight are set on creation; each other slot is None until the code
     that owns the fact fills it on first use: `block_of` the block; `labels`
     the hook-quotient flag, the movements with their runner chains, z, the
-    modified basis and zhat; `beadops` the Mullineux image."""
+    modified basis and zhat; `polytope` the signed units of the hypercube;
+    `beadops` the Mullineux image."""
 
     __slots__ = ("abacus", "core", "quotient", "weight", "block", "hook_quotient", "movements",
-                 "chains", "z", "modified", "hat_z", "mullineux")
+                 "chains", "z", "modified", "hat_z", "cube_signs", "mullineux")
 
     def __init__(self, a):
         self.abacus = a
         self.core, self.quotient, self.weight = core_quotient_weight(a)
-        self.block = self.hook_quotient = None
+        self.block = self.hook_quotient = self.cube_signs = None
         self.movements = self.chains = self.z = self.modified = self.hat_z = self.mullineux = None
 
 

@@ -68,14 +68,14 @@ def ladder_monomial(mu, e):
 
 def llt_G(mu, e, ctx=None):
     """Canonical basis vector G(mu) for e-regular mu, by the crystal
-    recursion of the LLT algorithm."""
-    if not is_e_regular(mu, e):
-        raise ValueError("llt_G requires an e-regular partition")
+    recursion of the LLT algorithm; ctx, when given, must be the context
+    of mu's block."""
     return _llt_column(mu, e, BlockContext.of(block_of(mu, e), ctx))
 
 
 def _llt_column(mu, e, ctx):
-    """G(mu) by the crystal recursion, on packed terms over one offset.
+    """G(mu) by the crystal recursion, on packed terms over one offset; ctx
+    must be the context of mu's block, which this does not check.
 
     Each column is built by a `_crystal_column` generator, which asks for
     the columns of its corrections; a stack of generators answers them, so
@@ -86,6 +86,8 @@ def _llt_column(mu, e, ctx):
     cache = ctx.cache("llt")
     if mu in cache:
         return cache[mu]
+    if not is_e_regular(mu, e):
+        raise ValueError("llt_G requires an e-regular partition")
     n, lo = mu.size, -(mu.size + 2)
     stack = [(mu, _crystal_column(mask_of(mu, lo), e, lo))]
     col = None
@@ -113,24 +115,33 @@ def _crystal_column(m, e, lo):
     A generator: it yields each label whose column it needs, is sent that
     column in packed form, and returns its own.  The walk down removes all
     eps_i normal beads of the residue i with the most of them, until the
-    label is empty; the climb back applies F_i^(eps_i) at each step and
-    subtracts bar-invariant multiples of G(x), x the largest offending
-    mask first, until the step's target t has coefficient 1 and every other
-    label one in qZ[q].  Over one offset the integer order of masks is the
-    lexicographic order of partitions, which refines dominance, so no
-    offender dominates the largest one.  A correction x has
-    eps_i(x) > eps_i(t), which is the most normal beads of any residue at
-    t, so the chain of corrections ends.
+    label is an e-core; the climb back starts from G(core) = core, since a
+    core is the one member of its weight-0 block, then applies
+    F_i^(eps_i) at each step and subtracts bar-invariant multiples of
+    G(x), x the largest offending mask first, until the step's target t
+    has coefficient 1 and every other label one in qZ[q].  Over one offset
+    the integer order of masks is the lexicographic order of partitions,
+    which refines dominance, so no offender dominates the largest one.  A
+    correction x has eps_i(x) > eps_i(t), which is the most normal beads of
+    any residue at t, so the chain of corrections ends.
+
+    The residue signatures are read once; moving residue-i beads from p to
+    p - 1 changes only the slots p - 1, p and p + 1, so after a step only
+    the residues i - 1, i and i + 1 are read again.
     """
     steps = []
-    while _removable(m):
-        normals, i = max(((_matched_signature(m, lo, e, i)[0], i) for i in range(e)),
-                         key=lambda s: len(s[0]))
+    sigs, stale, below = [None] * e, range(e), (1 << e) - 1
+    while m & ~((m << e) | below):  # not an e-core: a bead has a gap e below it
+        for r in stale:
+            sigs[r] = _matched_signature(m, lo, e, r)[0]
+        i = max(range(e), key=lambda r: len(sigs[r]))
+        normals = sigs[i]
         if not normals:
-            raise AssertionError("a nonempty e-regular label has no normal bead")
+            raise AssertionError("an e-regular label that is not an e-core has no normal bead")
         steps.append((m, i, len(normals)))
         for b in normals:  # each bead one position down
             m ^= 3 << (b - lo - 1)
+        stale = {(i - 1) % e, i, (i + 1) % e}
     v = {m: {0: 1}}
     for t, i, k in reversed(steps):
         v = step_F(v, i, k, e, lo)

@@ -8,7 +8,7 @@ import sys
 
 from .abacus import FACTS_MAXSIZE, BlockId, block_of, core_of, enumerate_block, quotient_of
 from .beadops import MoveError, lambda_of_hook, move_along, move_one, mullineux_crystal, mullineux_fast
-from .canonical import InductiveEngine, llt_G, rouquier_column, rouquier_d
+from .canonical import InductiveEngine, _llt_column, llt_G, rouquier_column, rouquier_d
 from .fock import FockVector
 from .labels import BlockContext, hat_z, hooks_e, is_m_increasing, lifted_json, modified_basis, z_label
 from .partitions import format_partition, parse_partition
@@ -75,8 +75,8 @@ def _dnum_one(lam, mu, e, method, engines):
         ctx = engines.get(("ctx", b))
         if ctx is None:
             ctx = engines[("ctx", b)] = BlockContext(b)
-        if method == "llt":
-            return llt_G(mu, e, ctx).coeff(lam)
+        if method == "llt":  # ctx is the context of mu's block
+            return _llt_column(mu, e, ctx).coeff(lam)
         return rouquier_d(lam, mu, b, ctx)
     if method == "inductive":
         eng = engines.setdefault(("ind", e), InductiveEngine(e))

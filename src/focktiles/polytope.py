@@ -8,7 +8,7 @@ from functools import reduce
 from itertools import combinations
 from operator import and_, or_
 
-from .abacus import block_of
+from .abacus import block_of, facts
 from .labels import (
     BlockContext,
     expand_in_basis,
@@ -73,6 +73,21 @@ def pi_membership(lam, target, e):
     return frozenset(i + 1 for i, c in enumerate(coeffs) if c)
 
 
+def _cube_signs(lam, e):
+    """{coordinate: sign} of the generators of C(lam), each one signed unit
+    vector on a coordinate of its own; kept in lam's `facts` record."""
+    f = facts(lam, e)
+    if f.cube_signs is None:
+        sign = {}
+        for g in hypercube_of(lam, e).generators:
+            nonzero = [(k, s) for k, s in enumerate(g) if s]
+            if len(nonzero) != 1 or nonzero[0][1] not in (1, -1) or nonzero[0][0] in sign:
+                raise AssertionError("hypercube generators are not distinct signed unit vectors")
+            sign.update(nonzero)
+        f.cube_signs = sign
+    return f.cube_signs
+
+
 def _cube_value(lam, mu, e):
     """The hypercube route: q^|zhat(mu) - zhat(lam)| when zhat(mu) is a
     vertex of C(lam), else 0.
@@ -82,14 +97,8 @@ def _cube_value(lam, mu, e):
     coordinate of zhat(mu) - zhat(lam) is that of a generator, with its
     sign, and the box distance is the number of such coordinates.
     """
-    cube = hypercube_of(lam, e)
-    sign = {}
-    for g in cube.generators:
-        nonzero = [(k, s) for k, s in enumerate(g) if s]
-        if len(nonzero) != 1 or nonzero[0][1] not in (1, -1) or nonzero[0][0] in sign:
-            raise AssertionError("hypercube generators are not distinct signed unit vectors")
-        sign.update(nonzero)
-    d = vec_sub(hat_z(mu, e), cube.anchor)
+    sign = _cube_signs(lam, e)
+    d = vec_sub(hat_z(mu, e), hat_z(lam, e))
     if all(sign.get(k) == c for k, c in enumerate(d) if c):
         return LaurentPoly.monomial(sum(1 for c in d if c))
     return LaurentPoly.zero()

@@ -2,18 +2,22 @@ import ast
 import hashlib
 import inspect
 import tracemalloc
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import focktiles
 from focktiles import canonical, polytope
-from focktiles.partitions import EMPTY, all_partitions, conjugate, dominance_leq, is_e_regular, parse_partition
+from focktiles.partitions import EMPTY, Partition, all_partitions, conjugate, dominance_leq, is_e_regular, parse_partition
 from focktiles.abacus import (
     BlockId,
+    _matched_signature,
+    _removable,
     abacus_of,
     block_of,
     core_from_levels,
@@ -21,9 +25,11 @@ from focktiles.abacus import (
     core_reflection_counts,
     core_tops,
     enumerate_block,
+    is_core,
     is_rouquier,
     mask_of,
     partition_of,
+    partition_of_mask,
     rouquier_charge,
     scopes_chain_blocks,
     weight_of,
@@ -41,7 +47,7 @@ from focktiles.canonical import (
     rouquier_column,
     rouquier_d,
 )
-from focktiles.fock import FockVector, apply_E, apply_F, removable_beads
+from focktiles.fock import FockVector, apply_E, apply_F, removable_beads, step_F
 from focktiles.labels import BlockContext, is_m_increasing, z_label
 from focktiles.laurent import LaurentPoly, bar_symmetric_split
 from focktiles.polytope import d_closed, parallelotope_of
@@ -239,6 +245,142 @@ def test_llt_route_is_independent_of_the_other_routes():
     assert not names & (polytope_names | {"polytope"})
     assert not [n for n in names if n.startswith("rouquier_")]
     assert not names & {"InductiveEngine", "exceptional_family"}
+
+
+class _Climb(Exception):
+    """Raised by the stand-in for step_F when the walk hands over to the
+    climb; its argument is the climb's starting vector."""
+
+
+def _stop_at_climb(v, *args):
+    raise _Climb(v)
+
+
+@st.composite
+def _e_regular_labels(draw):
+    """(e, mu) with 2 <= e <= 8 and mu e-regular: no part repeats e times."""
+    e = draw(st.integers(2, 8))
+    rows = draw(st.dictionaries(st.integers(1, 20), st.integers(1, e - 1), max_size=8))
+    return e, Partition(sorted((p for p, k in rows.items() for _ in range(k)), reverse=True))
+
+
+@given(_e_regular_labels())
+@settings(max_examples=200, deadline=None)
+def test_walk_keeps_every_residue_signature_fresh(label):
+    # the walk reads all e signatures at its first label and only residues
+    # i-1, i, i+1 after a step on residue i; the last value read for each
+    # residue must equal a fresh signature at every label of the walk
+    e, mu = label
+    lo = -(mu.size + 2)
+    log = []
+
+    def record(m, at, e_, i):
+        out = _matched_signature(m, at, e_, i)
+        log.append((m, i, out[0]))
+        return out
+
+    with mock.patch.object(canonical, "_matched_signature", record), \
+            mock.patch.object(canonical, "step_F", _stop_at_climb):
+        try:
+            next(canonical._crystal_column(mask_of(mu, lo), e, lo))
+            raise AssertionError("the walk asked for a correction")
+        except StopIteration as done:  # mu is an e-core
+            start = done.value
+        except _Climb as climb:
+            start = climb.args[0]
+    # the climb starts from G(core) = core at the walk's first e-core
+    (core,) = start
+    assert start[core] == {0: 1} and is_core(partition_of_mask(core), e)
+    assert not log if is_core(mu, e) else log[0][0] == mask_of(mu, lo)
+    kept, walked = {}, []
+    for n, (m, i, normals) in enumerate(log):
+        kept[i] = normals
+        if n + 1 < len(log) and log[n + 1][0] == m:
+            continue
+        # the last read at label m: every residue is known and fresh
+        assert m not in walked and not is_core(partition_of_mask(m), e)
+        walked.append(m)
+        assert [kept.get(r) for r in range(e)] == [_matched_signature(m, lo, e, r)[0] for r in range(e)]
+    reads = [sum(1 for x in log if x[0] == m) for m in walked]
+    assert reads[:1] in ([], [e]) and all(k <= 3 for k in reads[1:])
+
+
+def _crystal_column_to_empty(m, e, lo):
+    """The LLT column generator that walks down to the empty label and reads
+    all e signatures at every step: the reference for `_crystal_column`."""
+    steps = []
+    while _removable(m):
+        normals, i = max(((_matched_signature(m, lo, e, i)[0], i) for i in range(e)),
+                         key=lambda s: len(s[0]))
+        assert normals
+        steps.append((m, i, len(normals)))
+        for b in normals:  # each bead one position down
+            m ^= 3 << (b - lo - 1)
+    v = {m: {0: 1}}
+    for t, i, k in reversed(steps):
+        v = step_F(v, i, k, e, lo)
+        while True:
+            offenders = [x for x, c in v.items() if (c != {0: 1} if x == t else min(c) <= 0)]
+            if not offenders:
+                break
+            x = max(offenders)
+            assert x != t
+            alpha, _ = bar_symmetric_split(LaurentPoly(v[x]))
+            canonical._subtract_multiple(v, alpha, (yield partition_of_mask(x)))
+    return v
+
+
+# the minimal Rouquier blocks (5,3) and (7,2), cores of 120 and 126 nodes,
+# whose 67 e-regular columns the llt_rouquier benchmark workload computes
+LLT_ROUQUIER = ((5, 3), (7, 2))
+
+
+def _llt_rouquier_columns():
+    """{mu: the terms of G(mu) in order, coefficients as text} over every
+    e-regular mu of the LLT_ROUQUIER blocks, one context per block."""
+    out = {}
+    for e, w in LLT_ROUQUIER:
+        ctx = BlockContext(rouquier_block(e, w))
+        for mu in ctx.members():
+            if is_e_regular(mu, e):
+                out[mu] = [(lam, str(c)) for lam, c in llt_G(mu, e, ctx).terms.items()]
+    return out
+
+
+def test_llt_matches_the_walk_to_empty(monkeypatch):
+    cols = _llt_rouquier_columns()
+    assert len(cols) == 67
+    monkeypatch.setattr(canonical, "_crystal_column", _crystal_column_to_empty)
+    assert _llt_rouquier_columns() == cols
+
+
+def test_llt_walk_counts_on_the_rouquier_blocks(monkeypatch):
+    # walking to the empty label and reading all e signatures per step took
+    # 5,895 step_F and 33,919 _matched_signature calls on these blocks; 2,923
+    # of those climb steps sit at e-core labels
+    calls = Counter()
+    for name in ("step_F", "_matched_signature"):
+        real = getattr(canonical, name)
+        monkeypatch.setattr(canonical, name, lambda *a, _f=real, _n=name: calls.update([_n]) or _f(*a))
+    _llt_rouquier_columns()
+    assert 0 < calls["step_F"] <= 3000 and 0 < calls["_matched_signature"] <= 10000
+
+
+def test_llt_context_keeps_only_its_block_columns():
+    # no memo of the intermediate G(t) of a walk: one kept per context cut
+    # step_F calls on the llt_rouquier blocks from 5,895 to 3,155, but raised
+    # AC-4's peak RSS from 29 MB to 300 MB (the (8,4) block alone held 50,173
+    # columns with 498k terms) and made AC-4 no faster
+    e = 6
+    ctx = BlockContext(rouquier_block(e, 4))
+    members = set(ctx.members())
+    for mu in ctx.members():
+        if is_m_increasing(ctx.z_map()[mu], 0) and is_e_regular(mu, e):
+            llt_G(mu, e, ctx)
+    assert set(ctx.caches) == {"llt"}
+    cols = ctx.cache("llt")
+    assert cols and set(cols) <= members
+    assert all(type(col) is FockVector and set(col.terms) <= members for col in cols.values())
 
 
 def test_lr_coefficient():

@@ -87,6 +87,20 @@ def test_batch_survives_bad_lines():
     assert code == 0 and out.splitlines() == ["1", "q"] and not err
 
 
+def test_llt_batch_looks_up_each_block_once(monkeypatch):
+    # a `dnum --method llt` line finds mu's block once, in the CLI, which
+    # hands the column route the context of that block
+    from focktiles import canonical
+
+    seen = []
+    for mod in (cli, canonical):
+        monkeypatch.setattr(mod, "block_of", lambda lam, e, _f=mod.block_of: seen.append(lam) or _f(lam, e))
+    code, out, err = _capture(["dnum", "--e", "2", "--method", "llt"], stdin="2,1;3\n3;3\n3,1,1;5\n2;2,2\n")
+    assert seen == [parse_partition(t) for t in ("3", "3", "5", "2,2")]
+    assert code == 1 and out.splitlines() == ["0", "1", "q", "error"]
+    assert err == "error: line 4: llt_G requires an e-regular partition\n"
+
+
 def test_batch_json():
     # with --json each non-empty line answers one object, a pair as its
     # single query does; stderr and the exit code stay those of the batch

@@ -1,14 +1,17 @@
 import json
 import time
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from focktiles.partitions import EMPTY, parse_partition
-from focktiles.abacus import BlockId, block_of
+from focktiles import polytope
+from focktiles.abacus import BlockId, block_of, facts
 from focktiles.labels import BlockContext, is_m_increasing, project, z_label
 from focktiles.laurent import LaurentPoly
 from focktiles.polytope import (
+    Parallelotope,
     build_tiling,
     check_common_faces,
     check_cube_injectivity,
@@ -254,6 +257,34 @@ def test_cube_coordinates_agree_with_the_vertex_list():
                 assert _cube_value(lam, mu, e) == want, (lam, mu, b)
                 pairs += 1
     assert 0 < accepted < pairs
+
+
+def test_cube_signs_are_built_once_per_lambda(monkeypatch):
+    # d_closed reads the signed units of C(lam) from lam's facts record, so
+    # a column sweep builds each hypercube once, not once per pair
+    calls = Counter()
+    real = polytope.hypercube_of
+    monkeypatch.setattr(polytope, "hypercube_of", lambda lam, e: calls.update([lam]) or real(lam, e))
+    b = BlockId(10, EMPTY, 2)
+    ctx = BlockContext(b)
+    four = [mu for mu in ctx.members() if is_m_increasing(ctx.z_map()[mu], 4)]
+    facts.cache_clear()
+    for mu in four:
+        for lam in ctx.members():
+            d_closed(lam, mu, b.e)
+    assert len(four) > 1 and set(calls) == set(ctx.members()) and set(calls.values()) == {1}
+
+
+def test_cube_signs_refuse_generators_that_share_a_coordinate(monkeypatch):
+    lam, mu, e = P("16,8,1^13"), P("17,7,2^4,1^5"), 10
+    cube = hypercube_of(lam, e)
+    bad = Parallelotope(cube.anchor, (cube.generators[0],) * len(cube.generators))
+    monkeypatch.setattr(polytope, "hypercube_of", lambda lam, e: bad)
+    facts.cache_clear()
+    with pytest.raises(AssertionError, match="distinct signed unit vectors"):
+        _cube_value(lam, mu, e)
+    # the refused map is not kept
+    assert facts(lam, e).cube_signs is None
 
 
 def test_d_closed_at_high_weight():
