@@ -195,12 +195,11 @@ def _runner_tops(runners, e):
 
 
 def _core_from_tops(tops, e):
-    """The e-core whose runner r ends at position tops[r]."""
-    lo = min(tops) - e + 1
-    m = 0
-    for r, x in enumerate(tops):
-        m |= _runner(r, e, lo, x - lo + 1)
-    return partition_of_mask(m)
+    """The e-core whose runner r ends at position tops[r]: over an offset lo
+    that is a multiple of e and at least a level below every top, runner r
+    is full from lo + r up to tops[r]."""
+    lo = e * (min(tops) // e - 1)
+    return _partition_of_bits(_interleave(["1" * ((x - r - lo) // e + 1) for r, x in enumerate(tops)]))
 
 
 def core_quotient_weight(a):
@@ -364,34 +363,30 @@ def _matched_signature(m, lo, e, i):
     return stack, unmatched
 
 
-def normal_beads(a, i):
-    """Positions of normal removable beads on runner i, top to bottom."""
-    return _matched_signature(a.mask, a.base, a.e, i)[0]
-
-
-def conormal_slots(a, i):
-    """Target slots of conormal addable beads on runner i, top to bottom."""
-    return _matched_signature(a.mask, a.base, a.e, i)[1]
+def crystal_string(a, i, k):
+    """Etilde_i^k for k >= 0, which moves the first k normal beads of residue
+    i down one position, or Ftilde_i^-k for k < 0, which fills the last -k
+    conormal slots; None when the string is shorter than |k|."""
+    if not k:
+        return a
+    normals, slots = _matched_signature(a.mask, a.base, a.e, i % a.e)
+    if len(normals if k > 0 else slots) < abs(k):
+        return None
+    if k > 0:
+        return a.move_beads([(x, x - 1) for x in normals[:k]])
+    return a.move_beads([(t - 1, t) for t in slots[len(slots) + k :]])
 
 
 def crystal_E(a, i):
     """Kashiwara Etilde_i: move the top normal bead to its preceding
     position; None when no normal bead exists."""
-    normals = normal_beads(a, i)
-    if not normals:
-        return None
-    x = normals[0]
-    return a.move_bead(x, x - 1)
+    return crystal_string(a, i, 1)
 
 
 def crystal_F(a, i):
     """Kashiwara Ftilde_i: move the bottom conormal addable bead to its
     succeeding position; None when no conormal bead exists."""
-    slots = conormal_slots(a, i)
-    if not slots:
-        return None
-    t = slots[-1]
-    return a.move_bead(t - 1, t)
+    return crystal_string(a, i, -1)
 
 
 def _reflect(tops, a):
@@ -421,22 +416,13 @@ def weyl_s(a, i):
     """The crystal Weyl-group action of the simple reflection s_i.
 
     Runner i of the core of a holds k removable beads (k > 0) or -k addable
-    ones (k < 0), read off its runner tops by `_reflect`.  For k > 0 this is
-    Etilde_i^k, which moves the first k normal beads down one position; for
-    k < 0 it is Ftilde_i^-k, which fills the last -k conormal slots.  Both
-    come from one matched signature.
+    ones (k < 0), read off its runner tops by `_reflect`, and s_i is the
+    crystal string Etilde_i^k or Ftilde_i^-k (`crystal_string`).
     """
-    e = a.e
-    i %= e
-    k = _reflect(_runner_tops(a.runner_slices(), e), i)[0]
-    if k == 0:
-        return a
-    normals, slots = _matched_signature(a.mask, a.base, e, i)
-    if len(normals if k > 0 else slots) < abs(k):
+    out = crystal_string(a, i, _reflect(_runner_tops(a.runner_slices(), a.e), i)[0])
+    if out is None:
         raise AssertionError("crystal string shorter than Weyl step")
-    if k > 0:
-        return a.move_beads([(x, x - 1) for x in normals[:k]])
-    return a.move_beads([(t - 1, t) for t in slots[len(slots) + k :]])
+    return out
 
 
 # -- runner addition -------------------------------------------------------

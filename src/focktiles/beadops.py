@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .abacus import abacus_of, block_of, conormal_slots, facts, normal_beads, partition_of
+from .abacus import abacus_of, block_of, crystal_string, facts, partition_of
 from .labels import (
     hooks_e,
     is_hook_quotient,
@@ -214,21 +214,22 @@ def _mullineux(lam, e):
     while lam.parts and f.mullineux is None:
         a = f.abacus
         for i in range(e):
-            normals = normal_beads(a, i)
-            if normals:
+            m = 0
+            while (down := crystal_string(a, i, 1)) is not None:  # to the end of the string
+                a, m = down, m + 1
+            if m:
                 break
         else:
             raise AssertionError("nonempty partition with no normal beads")
-        peeled.append((f, i, len(normals)))
-        lam = partition_of(a.move_beads([(x, x - 1) for x in normals]))
+        peeled.append((f, i, m))
+        lam = partition_of(a)
         f = facts(lam, e)
     image = f.mullineux or EMPTY
     up = abacus_of(image, e)
     for f, i, m in reversed(peeled):
-        slots = conormal_slots(up, _mull_residue(i, e))
-        if len(slots) < m:
+        up = crystal_string(up, _mull_residue(i, e), -m)
+        if up is None:
             raise AssertionError("Mullineux recursion lost a crystal string")
-        up = up.move_beads([(t - 1, t) for t in slots[len(slots) - m :]])
         f.mullineux = image = partition_of(up)
     return image
 

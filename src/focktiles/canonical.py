@@ -26,7 +26,7 @@ from .abacus import (
     scopes_chain_blocks,
     weyl_s,
 )
-from .fock import FockVector, _accumulate, addable_beads, apply_F, removable_beads, step_E, step_F, unpack
+from .fock import FockVector, _accumulate, addable_beads, apply_F, pack, removable_beads, step_E, step_F, unpack
 from .labels import (
     BlockContext,
     is_hook_quotient,
@@ -102,7 +102,7 @@ def _llt_column(mu, e, ctx):
                 cache[lam] = unpack(col)
             continue
         if nu in cache:
-            col = {mask_of(x, lo): dict(c.coeffs) for x, c in cache[nu].terms.items()}
+            col = pack(cache[nu], lo)
         else:
             stack.append((nu, _crystal_column(mask_of(nu, lo), e, lo)))
             col = None
@@ -542,12 +542,12 @@ class InductiveEngine:
         e = self.e
         b = block_of(mu, e)
         if b.weight == 0:
-            return self._store(b, mu, _pack(FockVector.basis(mu), b))
+            return self._store(b, mu, pack(FockVector.basis(mu), _offset(b)))
         z = z_label(mu, e)
         if not is_m_increasing(z, 4):
             raise ValueError("inductive_G requires a 4-increasing partition")
         if is_rouquier(b):
-            return self._store(b, mu, _pack(rouquier_column(mu, b), b))
+            return self._store(b, mu, pack(rouquier_column(mu, b), _offset(b)))
         # walk back along the Scopes chain to the Rouquier base, then build
         # the z-matched columns forward iteratively (chains can be long)
         blocks, chain = self.chain(b)
@@ -559,7 +559,7 @@ class InductiveEngine:
             if block_of(rep, e) != blocks[i] or z_label(rep, e) != z:
                 raise AssertionError("Weyl transport left the expected block or label")
         if reps[0] not in self.cols:
-            self._store(blocks[0], reps[0], _pack(rouquier_column(reps[0], blocks[0]), blocks[0]))
+            self._store(blocks[0], reps[0], pack(rouquier_column(reps[0], blocks[0]), _offset(blocks[0])))
         for i in range(1, len(blocks)):
             if reps[i] in self.cols:
                 continue
@@ -633,12 +633,6 @@ def _offset(b):
     e-hooks, each adding at most e rows, so every member keeps two filled
     positions above this offset and a step from one stays in range."""
     return -(len(b.core.parts) + b.e * b.weight + 2)
-
-
-def _pack(v, b):
-    """The Fock vector v, whose terms lie in block b, packed over its offset."""
-    lo = _offset(b)
-    return {mask_of(lam, lo): dict(c.coeffs) for lam, c in v.terms.items()}
 
 
 def _move(vec, lo, new):

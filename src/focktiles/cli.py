@@ -7,7 +7,7 @@ import json
 import sys
 
 from .abacus import FACTS_MAXSIZE, BlockId, block_of, core_of, enumerate_block, quotient_of
-from .beadops import MoveError, lambda_of_hook, move_along, move_one, mullineux_crystal, mullineux_fast
+from .beadops import MoveError, lambda_of_hook, move_along, move_one, mullineux_crystal
 from .canonical import InductiveEngine, _llt_column, llt_G, rouquier_column, rouquier_d
 from .fock import FockVector
 from .labels import BlockContext, hat_z, hooks_e, is_m_increasing, lifted_json, modified_basis, z_label
@@ -115,7 +115,6 @@ def build_parser():
     p = add("tiling", "core", "weight", help="export the tiling of a block")
     p.add_argument("--format", choices=["json", "svg"], default="json")
     p = add("mullineux", "partition", help="Mullineux-Kleshchev involution")
-    p.add_argument("--algo", choices=["crystal", "fast"], default="crystal")
     p = add("moveone", "partition", "r", help="single parallelotope move")
     p = add("movealong", "partition", "gamma", help="iterated parallelotope move")
     p = add("lambdah", "partition", "r", help="hook surgery lambda_H at a movement index")
@@ -170,7 +169,7 @@ def _dispatch(args):
             _emit(args, "[" + ",".join(_vec(x) for x in mb) + "]",
                   {"epsilon": [list(x) for x in mb]})
         elif v == "mullineux":
-            out = mullineux_crystal(lam, e) if args.algo == "crystal" else mullineux_fast(lam, e)
+            out = mullineux_crystal(lam, e)
             _emit(args, _plist(out), {"mullineux": list(out.parts)})
         return 0
     if v == "pi":

@@ -167,12 +167,9 @@ def step_E(vec, i, k, e, lo):
     return {m: c for m, c in out.items() if c}
 
 
-def pack(v):
-    """(packed terms, lo) of a Fock vector or partition."""
-    if isinstance(v, Partition):
-        v = FockVector.basis(v)
-    lo = -(max((len(lam.parts) for lam in v.terms), default=0) + 2)
-    return {mask_of(lam, lo): dict(c.coeffs) for lam, c in v.terms.items()}, lo
+def pack(v, lo):
+    """The packed terms of the Fock vector v over offset lo."""
+    return {mask_of(lam, lo): dict(c.coeffs) for lam, c in v.terms.items()}
 
 
 def unpack(vec):
@@ -196,17 +193,22 @@ def removable_beads(lam, r, e):
     return _beads(lam, r, e, _removable)
 
 
-def apply_F(v, i, k, e):
-    """Divided power F_i^(k) applied to a Fock vector or partition (k >= 1)."""
+def _apply(step, v, i, k, e):
+    """step (`step_F` or `step_E`) on a Fock vector or partition, packed over
+    -(rows + 2) for the most rows of its terms."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    vec, lo = pack(v)
-    return unpack(step_F(vec, i, k, e, lo))
+    if isinstance(v, Partition):
+        v = FockVector.basis(v)
+    lo = -(max((len(lam.parts) for lam in v.terms), default=0) + 2)
+    return unpack(step(pack(v, lo), i, k, e, lo))
+
+
+def apply_F(v, i, k, e):
+    """Divided power F_i^(k) applied to a Fock vector or partition (k >= 1)."""
+    return _apply(step_F, v, i, k, e)
 
 
 def apply_E(v, i, k, e):
     """Divided power E_i^(k) applied to a Fock vector or partition (k >= 1)."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    vec, lo = pack(v)
-    return unpack(step_E(vec, i, k, e, lo))
+    return _apply(step_E, v, i, k, e)

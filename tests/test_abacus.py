@@ -8,8 +8,12 @@ import focktiles.abacus as abacus_module
 from focktiles.abacus import (
     Abacus,
     BlockId,
+    _core_from_tops,
     _from_levels,
+    _matched_signature,
     _reflect,
+    _runner,
+    _runner_tops,
     abacus_of,
     add_full_runner,
     block_of,
@@ -22,10 +26,12 @@ from focktiles.abacus import (
     core_tops,
     crystal_E,
     crystal_F,
+    crystal_string,
     enumerate_block,
     is_core,
     is_rouquier,
     partition_of,
+    partition_of_mask,
     quotient_of,
     rouquier_charge,
     scopes_chain,
@@ -73,6 +79,29 @@ def test_core_quotient_examples():
         parse_partition("1"), EMPTY, parse_partition("2,1"), EMPTY)
     kappa = parse_partition("2,1")
     assert core_quotient_weight(abacus_of(kappa, 2)) == (kappa, (EMPTY,) * 2, 0)
+
+
+def _core_from_tops_reference(tops, e):
+    """The core as the union of its runners, each the runner mask of its
+    bits below its top (a repunit division per runner)."""
+    lo = min(tops) - e + 1
+    m = 0
+    for r, x in enumerate(tops):
+        m |= _runner(r, e, lo, x - lo + 1)
+    return partition_of_mask(m)
+
+
+def test_core_from_tops_matches_runner_masks():
+    for e in range(2, 9):
+        for n in range(16):
+            for lam in all_partitions(n):
+                tops = _runner_tops(abacus_of(lam, e).runner_slices(), e)
+                assert _core_from_tops(tops, e) == _core_from_tops_reference(tops, e), (lam, e)
+    rng = random.Random(7)
+    for _ in range(3000):
+        e = rng.randint(2, 30)
+        tops = [r + e * rng.randint(-6, 6) for r in range(e)]
+        assert _core_from_tops(tops, e) == _core_from_tops_reference(tops, e), tops
 
 
 def test_is_core_reads_the_mask():
@@ -245,6 +274,30 @@ def test_crystal_operators():
                 down = crystal_E(a, i)
                 if down is not None:
                     assert partition_of(crystal_F(down, i)) == lam
+
+
+def _crystal_step(a, i, up):
+    """One Ftilde_i (up) or Etilde_i from a fresh signature; None when the
+    string is empty."""
+    normals, slots = _matched_signature(a.mask, a.base, a.e, i)
+    if up:
+        return a.move_bead(slots[-1] - 1, slots[-1]) if slots else None
+    return a.move_bead(normals[0], normals[0] - 1) if normals else None
+
+
+@given(st.integers(2, 6), st.integers(-8, 8), st.integers(0, (1 << 30) - 1), st.data())
+@settings(max_examples=300, deadline=None)
+def test_crystal_string_is_single_steps(e, base, mask, data):
+    a = Abacus(e, base, mask)
+    i = data.draw(st.integers(0, e - 1))
+    k = data.draw(st.integers(-6, 6))
+    want = a
+    for _ in range(abs(k)):
+        want = _crystal_step(want, i, k < 0)
+        if want is None:
+            break
+    assert crystal_string(a, i, k) == want
+    assert crystal_string(a, i + e, k) == want
 
 
 def test_weyl_action():

@@ -221,7 +221,7 @@ def test_verbs():
     assert code == 0 and out.strip() == "[10,4,2,1,1]"
     code, out, _ = _capture(["lambdah", "--e", "4", "5,5,4,2,2,2,1,1", "3"])
     assert code == 0 and out.strip() == "[6,5,5,2,2,2]"
-    code, out, _ = _capture(["mullineux", "--e", "2", "--algo", "crystal", "3,1"])
+    code, out, _ = _capture(["mullineux", "--e", "2", "3,1"])
     assert code == 0 and out.strip() == "[3,1]"
     code, out, _ = _capture(["block", "--e", "2", "1", "2"])
     assert code == 0 and len(out.splitlines()) == 5
@@ -275,8 +275,8 @@ def test_moveone_index_out_of_range():
         assert err == "error: movement index out of range\n"
 
 
-# Outputs of the label, basis and tiling verbs, pinned byte for byte; the
-# long ones by their SHA-256.
+# CLI outputs, pinned byte for byte; the long ones by their SHA-256, and a
+# refusal by its stderr line (exit 1, no stdout).
 PINNED = [
     (["hatz", "--e", "4", "7,3,3,2,2,1"],
      '{"diag": [0, 1, 2, 4], "upper": [[1, 2, 1], [2, 3, 1], [3, 4, 1]]}\n'),
@@ -291,13 +291,56 @@ PINNED = [
      "7fd30f1d9bd948c6b4b21802564f6e4ef86ed0141a3f0d2482b14c57c09774dd"),
     (["tiling", "--e", "17", "5,3,1", "2", "--format", "svg"],
      "68b2f2ffc572315b9237706e509be95d19872da15b2a6c432674a87a26bb8c4b"),
+    (["core", "--e", "4", "5,5,4,2,2,2,1,1"], "[2]\n"),
+    (["--json", "core", "--e", "4", "5,5,4,2,2,2,1,1"], '{"core": [2]}\n'),
+    (["quotient", "--e", "4", "7,3,3,2,2,1"], "[[1],[],[2,1],[]]\n"),
+    (["--json", "quotient", "--e", "4", "7,3,3,2,2,1"], '{"quotient": [[1], [], [2, 1], []]}\n'),
+    (["zlabel", "--e", "4", "5,5,4,2,2,2,1,1"], "[1,1,2,2,1]\n"),
+    (["--json", "zlabel", "--e", "4", "5,5,4,2,2,2,1,1"], '{"z": [1, 1, 2, 2, 1]}\n'),
+    (["mullineux", "--e", "4", "6,5,5,2,2,2"], "[16,6]\n"),
+    (["--json", "mullineux", "--e", "4", "6,5,5,2,2,2"], '{"mullineux": [16, 6]}\n'),
+    (["moveone", "--e", "4", "7,3,3,2,2,1", "3"], "[9,3,2,2,2]\n"),
+    (["--json", "moveone", "--e", "4", "7,3,3,2,2,1", "3"], '{"partition": [9, 3, 2, 2, 2]}\n'),
+    (["movealong", "--e", "4", "7,3,3,2,2,1", "2,3"], "[10,4,2,1,1]\n"),
+    (["--json", "movealong", "--e", "4", "7,3,3,2,2,1", "2,3"],
+     '{"partition": [10, 4, 2, 1, 1], "trace": [{"partition": [9, 3, 2, 2, 2], "r": 3, "step": 1, "z": [1, 1, 3, 3]}, {"partition": [10, 4, 2, 1, 1], "r": 2, "step": 2, "z": [1, 2, 3, 3]}]}\n'),
+    (["lambdah", "--e", "4", "5,5,4,2,2,2,1,1", "3"], "[6,5,5,2,2,2]\n"),
+    (["--json", "lambdah", "--e", "4", "5,5,4,2,2,2,1,1", "3"],
+     '{"partition": [6, 5, 5, 2, 2, 2]}\n'),
+    (["block", "--e", "2", "1", "2"], "5\n3,2\n3,1^2\n2^2,1\n1^5\n"),
+    (["--json", "block", "--e", "2", "1", "2"],
+     '{"block": {"core": [1], "e": 2, "weight": 2}, "partitions": [[5], [3, 2], [3, 1, 1], [2, 2, 1], [1, 1, 1, 1, 1]]}\n'),
+    (["dnum", "--e", "10", "--method", "closed", "16,8,1^13", "17,7,2^4,1^5"], "q^2\n"),
+    (["dnum", "--e", "10", "--method", "llt", "16,8,1^13", "17,7,2^4,1^5"], "q^2\n"),
+    (["dnum", "--e", "10", "--method", "rouquier", "16,8,1^13", "17,7,2^4,1^5"],
+     "error: BlockId(e=10, core=Partition((7,)), weight=3) is not a Rouquier block\n"),
+    (["dnum", "--e", "10", "--method", "inductive", "16,8,1^13", "17,7,2^4,1^5"], "q^2\n"),
+    (["gcolumn", "--e", "4", "--method", "llt", "6,5,5,2,2,2"],
+     "a85b200ec082877281f29217c6b16be7c8bd44cba7ba0c1cee77da20edb664c9"),
+    (["gcolumn", "--e", "4", "--method", "rouquier", "6,5,5,2,2,2"],
+     "error: BlockId(e=4, core=Partition((2,)), weight=5) is not a Rouquier block\n"),
+    (["gcolumn", "--e", "4", "--method", "inductive", "6,5,5,2,2,2"],
+     "error: inductive_G requires a 4-increasing partition\n"),
+    (["gcolumn", "--e", "4", "--method", "closed", "6,5,5,2,2,2"],
+     "error: the closed formula requires a 4-increasing partition\n"),
+    (["gcolumn", "--e", "2", "--method", "llt", "5"],
+     "bd71e30facd2c3970099d5a7020b07625c03094fbba84011fe49552b4ae54855"),
+    (["gcolumn", "--e", "2", "--method", "rouquier", "5"],
+     "422aa4e2c16bb290e88a03dd71d389d62f15f0b4cb6dcc0eb3d6b170201f8c8f"),
+    (["gcolumn", "--e", "2", "--method", "inductive", "5"],
+     "error: inductive_G requires a 4-increasing partition\n"),
+    (["gcolumn", "--e", "2", "--method", "closed", "5"],
+     "error: the closed formula requires a 4-increasing partition\n"),
 ]
 
 
 def test_pinned_outputs():
     for argv, want in PINNED:
-        code, out, _ = _capture(argv)
-        assert code == 0
+        code, out, err = _capture(argv)
+        if want.startswith("error: "):
+            assert (code, out, err) == (1, "", want), argv
+            continue
+        assert code == 0 and err == "", argv
         if want.endswith("\n"):
             assert out == want, argv
         else:
@@ -313,6 +356,17 @@ def test_block_on_many_runners():
     # one member per runner at weight 1: enumeration must not recurse per runner
     code, out, _ = _capture(["block", "--e", "1200", "0", "1"])
     assert code == 0 and len(out.splitlines()) == 1200
+
+
+def test_core_on_many_runners():
+    # the core is built from e runner strings, not e repunit masks of e bits
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "focktiles", "core", "--e", "100000", "5"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == "[5]\n"
 
 
 def test_overlong_scopes_chain_is_refused():

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from focktiles.partitions import EMPTY, Partition, all_partitions, parse_partition
 from focktiles.abacus import block_of
-from focktiles.fock import FockVector, addable_beads, apply_E, apply_F, pairing, removable_beads
+from focktiles.fock import FockVector, addable_beads, apply_E, apply_F, pack, pairing, removable_beads, unpack
 from focktiles.laurent import LaurentPoly, quantum_factorial
 
 
@@ -167,3 +167,18 @@ def test_bead_lists():
     assert addable_beads(lam, 1, 2) == (-3, -1)
     json_form = apply_F(FockVector.basis(lam), 0, 1, 2).to_json()
     assert isinstance(json_form, list) and all("partition" in t for t in json_form)
+
+
+fock_vectors = st.dictionaries(
+    st.integers(0, 14).flatmap(lambda n: st.sampled_from(all_partitions(n) or [EMPTY])),
+    st.dictionaries(st.integers(-5, 5), st.integers(-9, 9)),
+    max_size=8,
+).map(lambda d: FockVector({lam: LaurentPoly(c) for lam, c in d.items()}))
+
+
+@given(fock_vectors)
+@settings(max_examples=150, deadline=None)
+def test_pack_roundtrip(v):
+    rows = max((len(lam.parts) for lam in v.terms), default=0)
+    for lo in range(-(rows + 2), -(rows + 12), -1):
+        assert unpack(pack(v, lo)) == v

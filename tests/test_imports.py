@@ -22,8 +22,6 @@ def _imported_names(tree):
 def test_no_module_imports_a_name_it_does_not_use():
     unused = []
     for path in sorted(Path(focktiles.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":  # re-exports
-            continue
         tree = ast.parse(path.read_text())
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [(path.stem, name) for name in _imported_names(tree) if name not in used]
@@ -46,12 +44,29 @@ def test_imports_are_at_module_level():
     assert found == set(LOCAL_IMPORTS)
 
 
+def _added_modules(code):
+    """The sorted names that `code`'s print() call writes, run in a fresh
+    interpreter on this checkout's src."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_cli_import_loads_neither_dataclasses_nor_verify():
     # only the modules the import adds count: a site hook may load
     # dataclasses before it
     code = ("import sys; before = set(sys.modules); import focktiles.cli; "
             "print(sorted({'dataclasses', 'focktiles.verify'} & (set(sys.modules) - before)))")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0 and proc.stdout.strip() == "[]", proc.stderr
+    assert _added_modules(code) == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    # the package root re-exports nothing: each name has one import path
+    code = ("import sys; before = set(sys.modules); import focktiles; "
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('focktiles.')))")
+    assert _added_modules(code) == "[]"
+    code = ("import sys; before = set(sys.modules); from focktiles import canonical; "
+            "print(sorted({'focktiles.polytope', 'focktiles.beadops'} & (set(sys.modules) - before)))")
+    assert _added_modules(code) == "[]"
