@@ -542,8 +542,10 @@ def scopes_chain(b):
 
 
 def scopes_chain_blocks(b):
-    """The block sequence B_0, ..., B_n = b along scopes_chain(b), built from
-    the core tops the descent visits, and the chain itself."""
+    """(tops, chain): the core tops T_0, ..., T_n the descent visits along
+    chain = scopes_chain(b), T_0 those of the Rouquier base and T_n those of
+    b's core.  Block i is BlockId(e, _core_from_tops(T_i, e), w); no core or
+    block is built here."""
     e, w = b.e, b.weight
     if w < 1:
         raise ValueError("scopes_chain requires weight >= 1")
@@ -572,4 +574,4 @@ def scopes_chain_blocks(b):
         rank[a - 1], rank[a] = rank[a], rank[a - 1]
     if x != goal:
         raise AssertionError("the Scopes descent did not reach the target core")
-    return [BlockId(e, _core_from_tops(t, e), w) for t in visited], chain
+    return visited, chain

@@ -10,10 +10,14 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .abacus import (
+    BlockId,
+    _addable,
+    _core_from_tops,
     _from_levels,
     _matched_signature,
     _removable,
     _runner,
+    _runner_tops,
     block_of,
     core_levels,
     core_tops,
@@ -33,6 +37,7 @@ from .labels import (
     is_m_increasing,
     modified_basis,
     movements,
+    movements_z,
     vec_sub,
     z_label,
 )
@@ -507,12 +512,24 @@ class InductiveEngine:
     """Scopes-chain construction of canonical-basis columns.
 
     The column of mu is kept packed over the offset `_offset(b)` of its
-    block b, {mask: {exponent: int}} as `fock` steps them, and cached by mu,
-    which fixes b at the engine's e.  The chain of each block asked for is
-    kept as `scopes_chain_blocks` gives it, so a chain of L steps holds O(L)
-    slots.  A step works over the offsets of the blocks it reads and moves
-    its result to the offset of the block it writes (`_move`).  Only the
-    column that `column` returns is unpacked.
+    block b, {mask: {exponent: int}} as `fock` steps them, and cached by
+    mu's `Abacus`, which fixes b at the engine's e.  The chain of each block asked for is
+    kept as `scopes_chain_blocks` gives it, the core tops it visits and its
+    steps, so a chain of L steps holds O(L) slots.  A step works over the
+    offsets of the blocks it reads and moves its result to the offset of
+    the block it writes (`_move`), each offset read off the block's core
+    tops (`_tops_offset`).  Only the column that `column` returns is
+    unpacked.
+
+    mu's representatives along the chain are abaci, carried back by
+    `weyl_s`; each must have the visited core tops and z(mu), read off the
+    abacus (`labels.movements_z`), so no `facts` record is made for them.
+    A [w:k]-pair with k >= w is a Scopes equivalence: when the
+    representative has no removable runner-a bead, the step relabels
+    G(prev) (`_relabel`), checking on every term that E_a^(k) only moves
+    its k removable runner-a beads back one slot; a `BlockId` is built only
+    for the Rouquier base and for the two blocks of a k < w pair.  Every
+    stored column passes `_store`'s checks.
 
     Every column built is kept, not only a step's predecessor: later columns
     pick up their chains from them, and correction generators are read
@@ -537,54 +554,68 @@ class InductiveEngine:
 
     def _column(self, mu):
         """G(mu) packed over the offset of its block."""
-        if mu in self.cols:
-            return self.cols[mu]
         e = self.e
+        rep = facts(mu, e).abacus
+        if rep in self.cols:
+            return self.cols[rep]
         b = block_of(mu, e)
         if b.weight == 0:
-            return self._store(b, mu, pack(FockVector.basis(mu), _offset(b)))
+            lo = _offset(b)
+            return self._store(rep, lo, pack(FockVector.basis(mu), lo))
         z = z_label(mu, e)
         if not is_m_increasing(z, 4):
             raise ValueError("inductive_G requires a 4-increasing partition")
         if is_rouquier(b):
-            return self._store(b, mu, pack(rouquier_column(mu, b), _offset(b)))
+            lo = _offset(b)
+            return self._store(rep, lo, pack(rouquier_column(mu, b), lo))
         # walk back along the Scopes chain to the Rouquier base, then build
         # the z-matched columns forward iteratively (chains can be long)
-        blocks, chain = self.chain(b)
-        reps = [mu]
-        for a, k in reversed(chain):
-            reps.append(partition_of(weyl_s(facts(reps[-1], e).abacus, a)))
+        tops, chain = self.chain(b)
+        w = b.weight
+        reps = [rep]
+        for a, _ in reversed(chain):
+            reps.append(weyl_s(reps[-1], a))
         reps.reverse()
-        for i, rep in enumerate(reps):
-            if block_of(rep, e) != blocks[i] or z_label(rep, e) != z:
+        for r, t in zip(reps, tops):
+            if _runner_tops(r.runner_slices(), e) != list(t) or movements_z(r)[1] != z:
                 raise AssertionError("Weyl transport left the expected block or label")
+        lo = _tops_offset(tops[0], w)
         if reps[0] not in self.cols:
-            self._store(blocks[0], reps[0], pack(rouquier_column(reps[0], blocks[0]), _offset(blocks[0])))
-        for i in range(1, len(blocks)):
+            base = BlockId(e, _core_from_tops(tops[0], e), w)
+            self._store(reps[0], lo, pack(rouquier_column(partition_of(reps[0]), base), lo))
+        for i, (a, k) in enumerate(chain, 1):
+            blo, lo = lo, _tops_offset(tops[i], w)
             if reps[i] in self.cols:
                 continue
-            a, k = chain[i - 1]
-            pair = ScopesPair(block=blocks[i - 1], tilde=blocks[i], a=a, k=k)
-            self._store(blocks[i], reps[i], self._step(reps[i], reps[i - 1], pair))
-        return self.cols[mu]
+            m = reps[i].mask_over(lo)
+            if k >= w and not _removable(m) & _runner(a, e, lo, m.bit_length()):
+                col = _move(_relabel(self.cols[reps[i - 1]], a, k, e, blo), blo, lo)
+            else:
+                pair = ScopesPair(block=BlockId(e, _core_from_tops(tops[i - 1], e), w),
+                                  tilde=BlockId(e, _core_from_tops(tops[i], e), w), a=a, k=k)
+                col = self._step(m, reps[i - 1], z, pair)
+            self._store(reps[i], lo, col)
+        return self.cols[rep]
 
-    def _store(self, b, mu, col):
-        lo = _offset(b)
-        if any(m & 3 != 3 for m in col):
+    def _store(self, rep, lo, col):
+        """Keep col, packed over lo, as the column of the label whose abacus
+        is rep."""
+        if any(x & 3 != 3 for x in col):
             raise AssertionError("a packed term comes within two rows of its block's offset")
-        m = facts(mu, self.e).abacus.mask_over(lo)
+        m = rep.mask_over(lo)
         if col.get(m) != {0: 1}:
             raise AssertionError("inductive column is not unitriangular at mu")
         if any(min(c) <= 0 for x, c in col.items() if x != m):
             raise AssertionError("inductive column violates triangularity")
-        self.cols[mu] = col
+        self.cols[rep] = col
         return col
 
-    def _step(self, mu, prev, pair):
-        """One Scopes step: G(mu) in s_a(B) from G(prev) in B, packed."""
+    def _step(self, m, prev, z, pair):
+        """One Scopes step: the column of the label with mask m over the
+        offset of s_a(B), from that of prev (an abacus) in B, both with
+        label z; packed."""
         e, a, k = self.e, pair.a, pair.k
         lo = _offset(pair.tilde)
-        m = facts(mu, e).abacus.mask_over(lo)
         rem = _removable(m) & _runner(a, e, lo, m.bit_length())
         if rem & (rem - 1):
             raise AssertionError("4-increasing exceptional partition with several removable beads")
@@ -593,11 +624,11 @@ class InductiveEngine:
             fam = exceptional_family(gen, pair)
             if fam is None:
                 raise AssertionError("1-increasing exceptional family must be hook-quotient")
-            if mu == fam.upper[0]:
+            if m == mask_of(fam.upper[0], lo):
                 return self._F(gen, a, lo)
         blo = _offset(pair.block)
         col = _move(step_E(self.cols[prev], a, k, e, blo), blo, lo)
-        for fam, n in self._corrections(col, m, prev, pair):
+        for fam, n in self._corrections(col, m, z, pair):
             _subtract_multiple(col, quantum_int(n - 1), self._F(fam.generator, a, lo))
         return col
 
@@ -606,8 +637,8 @@ class InductiveEngine:
         glo = _offset(block_of(gen, self.e))
         return _move(step_F(self._column(gen), a, 1, self.e, glo), glo, lo)
 
-    def _corrections(self, col, m, prev, pair):
-        """The families with s = 0 and n >= 2 for z(prev), with their n.
+    def _corrections(self, col, m, z_prev, pair):
+        """The families with s = 0 and n >= 2 for z_prev = z(prev), with their n.
 
         Their generators are read off the offenders of col = E_a^(k) G(prev),
         packed over the offset of s_a(B) with m the mask of its label: every
@@ -618,7 +649,6 @@ class InductiveEngine:
             _bead_back(x, pair.a, e, lo) for x, c in col.items() if x != m and min(c) <= 0
         )
         gens.pop(None, None)
-        z_prev = z_label(prev, e)
         out = []
         for gen in gens:
             fam = exceptional_family(partition_of_mask(gen), pair)
@@ -633,6 +663,34 @@ def _offset(b):
     e-hooks, each adding at most e rows, so every member keeps two filled
     positions above this offset and a step from one stays in range."""
     return -(len(b.core.parts) + b.e * b.weight + 2)
+
+
+def _tops_offset(tops, w):
+    """`_offset` of the weight-w block whose core has the runner tops given:
+    a core's rows are its beads above its lowest gap, min(tops) + e."""
+    e = len(tops)
+    return min(tops) + e - e * w - 2
+
+
+def _relabel(vec, a, k, e, lo):
+    """E_a^(k) on packed terms over lo at a [w:k]-pair with k >= w: each
+    term's k removable runner-a beads move back one slot, its coefficient
+    kept (and shared: a stored column is never changed in place).
+
+    On a term with exactly k removable runner-a beads and no addable
+    runner-(a-1) bead, `step_E` makes one move, all k beads, with exponent
+    0: the result has no removable runner-a bead and the source no addable
+    runner-(a-1) bead.  Any other term is refused with AssertionError.
+    """
+    width = max(m.bit_length() for m in vec) + 1
+    radd, rrem = _runner(a - 1, e, lo, width), _runner(a, e, lo, width)
+    out = {}
+    for m, c in vec.items():
+        rem = _removable(m) & rrem
+        if rem.bit_count() != k or _addable(m) & radd:
+            raise AssertionError("a Scopes relabelling met a term that E_a^(k) does not only relabel")
+        out[m ^ rem ^ (rem >> 1)] = c
+    return out
 
 
 def _move(vec, lo, new):

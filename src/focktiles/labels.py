@@ -16,26 +16,44 @@ class BeadMovement(namedtuple("BeadMovement", "b q index")):
     __slots__ = ()
 
 
+def movements_z(a):
+    """(movements, z) of the beta-set of the `Abacus` a: its bead movements in
+    the total order (by q, then b) and z, the armlength of each.
+
+    The armlength of a movement starting at q is the gap count in (q - e, q]:
+    e minus the popcount of that e-bit window of the mask.  The window lies
+    above base: a bead with g gaps above it has at least g slots above it on
+    its runner, so q >= base + e."""
+    e = a.e
+    raw = []
+    for first, bits in a.runner_slices():
+        # a bead with g gaps above it starts its g movements at itself and
+        # the g - 1 positions above it on the runner; only the beads below
+        # the runner's first gap have any
+        j = bits.find("0")
+        while j >= 0:
+            j = bits.find("1", j)
+            if j < 0:
+                break
+            x = first + j * e
+            raw.extend((x - i * e, x) for i in range(j - bits.count("1", 0, j)))
+            j += 1
+    raw.sort()
+    mask, base, full = a.mask, a.base, (1 << e) - 1
+    return (tuple(BeadMovement(b=b, q=q, index=r + 1) for r, (q, b) in enumerate(raw)),
+            tuple(e - (mask >> (q - e + 1 - base) & full).bit_count() for q, _ in raw))
+
+
 def _moved(lam, e):
-    """The `facts` record of lam with its movements filled, and their runner
-    chains {runner: (idx, l)}: each runner's movement indices and the
-    position in idx of the first movement of its bottom bead."""
+    """The `facts` record of lam with its movements and z filled, and the
+    movements' runner chains {runner: (idx, l)}: each runner's movement
+    indices and the position in idx of the first movement of its bottom
+    bead."""
     f = facts(lam, e)
     if f.movements is not None:
         return f
-    raw = []
-    for first, bits in f.abacus.runner_slices():
-        gaps = 0
-        for j, bit in enumerate(bits):
-            if bit == "0":
-                gaps += 1
-            elif gaps:
-                # a bead with g gaps above it starts its g movements at
-                # itself and the g - 1 positions above it on the runner
-                x = first + j * e
-                raw.extend((x - i * e, x) for i in range(gaps))
-    raw.sort()
-    f.movements = mvs = tuple(BeadMovement(b=b, q=q, index=r + 1) for r, (q, b) in enumerate(raw))
+    f.movements, f.z = movements_z(f.abacus)
+    mvs = f.movements
     f.chains = {}
     for runner in range(e):
         idx = tuple(mv.index for mv in mvs if mv.q % e == runner)
@@ -95,16 +113,7 @@ def hooks_e(lam, e):
 
 def z_label(lam, e):
     """z(lam): armlengths of all bead movements, in movement order."""
-    f = _moved(lam, e)
-    if f.z is None:
-        # the armlength of a movement starting at q is the gap count in
-        # (q - e, q]: e minus the popcount of that e-bit window of the mask.
-        # The window lies above base: a bead with g gaps above it has at
-        # least g slots above it on its runner, so q >= base + e.
-        a, full = f.abacus, (1 << e) - 1
-        f.z = tuple(e - (a.mask >> (mv.q - e + 1 - a.base) & full).bit_count()
-                    for mv in f.movements)
-    return f.z
+    return _moved(lam, e).z
 
 
 def is_m_increasing(z, m):

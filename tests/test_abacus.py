@@ -487,16 +487,18 @@ def test_scopes_chain():
     assert scopes_chain(rb) == []
     for b in [BlockId(3, EMPTY, 1), BlockId(3, EMPTY, 2), BlockId(5, parse_partition("3,1"), 2),
               block_of(parse_partition("17,7,2^4,1^5"), 10)]:
-        blocks, chain = scopes_chain_blocks(b)
-        assert blocks[-1] == b
-        assert is_rouquier(blocks[0])
-        assert len(blocks) == len(chain) + 1
+        tops, chain = scopes_chain_blocks(b)
+        cores = [_core_from_tops(t, b.e) for t in tops]
+        assert tops[-1] == core_tops(b.core, b.e) and cores[-1] == b.core
+        assert is_rouquier(BlockId(b.e, cores[0], b.weight))
+        assert len(tops) == len(chain) + 1
         # replay forward: each step must have k removable beads on runner a
         for i, (a, k) in enumerate(chain):
-            k_rem, _ = core_reflection_counts(core_tops(blocks[i].core, b.e), a)
+            assert core_tops(cores[i], b.e) == tops[i]
+            k_rem, _ = core_reflection_counts(tops[i], a)
             assert k_rem == k >= 1
-            stepped = partition_of(weyl_s(abacus_of(blocks[i].core, b.e), a))
-            assert stepped == blocks[i + 1].core
+            stepped = partition_of(weyl_s(abacus_of(cores[i], b.e), a))
+            assert stepped == cores[i + 1]
     with pytest.raises(ValueError):
         scopes_chain(BlockId(3, EMPTY, 0))
 
@@ -595,7 +597,7 @@ def _rouquier_cores(e, need, max_len):
 def test_scopes_chain_least_length_base(e, w):
     targets = [lam for n in range(11) for lam in all_partitions(n) if weight_of(lam, e) == 0]
     chains = {core: scopes_chain_blocks(BlockId(e, core, w)) for core in targets}
-    top = max(_hook_length(blocks[0].core, e) for blocks, _ in chains.values())
+    top = max(_hook_length(_core_from_tops(tops[0], e), e) for tops, _ in chains.values())
     cands = _rouquier_cores(e, w - 1, top)
     for cost, kappa in cands:
         assert is_rouquier(BlockId(e, kappa, w)) and _hook_length(kappa, e) == cost
@@ -608,9 +610,9 @@ def test_scopes_chain_least_length_base(e, w):
                 if _hook_length(kappa, e) < top and is_rouquier(BlockId(e, kappa, w)):
                     found.add(kappa)
         assert found == {kappa for _, kappa in cands}
-    for core, (blocks, chain) in chains.items():
-        base = blocks[0].core
-        assert is_rouquier(blocks[0])
+    for core, (tops, chain) in chains.items():
+        base = _core_from_tops(tops[0], e)
+        assert is_rouquier(BlockId(e, base, w))
         assert len(chain) == _hook_length(base, e) - _hook_length(core, e)
         assert _weak_leq(core, base, e)
         assert not any(
@@ -620,8 +622,8 @@ def test_scopes_chain_least_length_base(e, w):
 
 def test_scopes_chain_e10_base():
     b = block_of(parse_partition("17,7,2^4,1^5"), 10)
-    blocks, chain = scopes_chain_blocks(b)
-    base = blocks[0].core
+    tops, chain = scopes_chain_blocks(b)
+    base = _core_from_tops(tops[0], 10)
     assert len(chain) == 323
     assert _hook_length(base, 10) == _affine_length(core_tops(base, 10)) == 330
     assert base.size == 1815

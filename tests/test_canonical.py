@@ -16,6 +16,7 @@ from focktiles import canonical, polytope
 from focktiles.partitions import EMPTY, Partition, all_partitions, conjugate, dominance_leq, is_e_regular, parse_partition
 from focktiles.abacus import (
     BlockId,
+    _core_from_tops,
     _matched_signature,
     _removable,
     abacus_of,
@@ -47,7 +48,7 @@ from focktiles.canonical import (
     rouquier_column,
     rouquier_d,
 )
-from focktiles.fock import FockVector, apply_E, apply_F, removable_beads, step_F
+from focktiles.fock import FockVector, apply_E, apply_F, removable_beads, step_E, step_F
 from focktiles.labels import BlockContext, is_m_increasing, z_label
 from focktiles.laurent import LaurentPoly, bar_symmetric_split
 from focktiles.polytope import d_closed, parallelotope_of
@@ -846,11 +847,11 @@ def test_engine_keeps_one_chain_per_block_asked_for():
     eng = InductiveEngine(20)
     tracemalloc.start()
     try:
-        blocks, chain = eng.chain(b)
+        tops, chain = eng.chain(b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(chain) == 1330 and blocks[-1] == b
+    assert len(chain) == 1330 and tops[-1] == core_tops(b.core, b.e)
     assert list(eng.chains) == [b]
     assert peak < 5 * 2**20
 
@@ -868,7 +869,8 @@ def test_scopes_column_of_the_13_4_block_is_pinned():
 def test_members_keep_two_rows_clear_of_the_block_offset():
     # a member is the core plus w rim e-hooks of at most e rows each
     blocks = list(ac3_blocks())
-    blocks += scopes_chain_blocks(block_of(P("17,7,2^4,1^5"), 10))[0]
+    blocks += [BlockId(10, _core_from_tops(t, 10), 3)
+               for t in scopes_chain_blocks(block_of(P("17,7,2^4,1^5"), 10))[0]]
     for b in blocks:
         assert max(len(lam.parts) for lam in enumerate_block(b)) <= -canonical._offset(b) - 2, b
 
@@ -890,9 +892,8 @@ class _CheckedEngine(InductiveEngine):
         super().__init__(e)
         self.used = {}  # check-block weight -> corrections made
 
-    def _corrections(self, col, m, prev, pair):
-        got = super()._corrections(col, m, prev, pair)
-        z_prev = z_label(prev, self.e)
+    def _corrections(self, col, m, z_prev, pair):
+        got = super()._corrections(col, m, z_prev, pair)
         want = set()
         for fam in _hook_quotient_families(pair):
             sep = fam.separation(z_prev)
@@ -924,3 +925,95 @@ def test_offender_generators_match_check_block_walk():
         for wcheck, n in eng.used.items():
             used[wcheck] = used.get(wcheck, 0) + n
     assert used.get(0) and used.get(1), used
+    # the same corrections as when k >= w steps ran step_E; those steps now
+    # relabel and read no check block, so no other weight is counted
+    assert used == {0: 6, 1: 17}, used
+
+
+# the four 4-increasing columns of the e = 10, core (7), weight-3 block
+_E10_MUS = ("13,8,1^16", "17,5,1^15", "17,6,1^14", "17,7,2^4,1^5")
+
+
+def test_relabelling_equals_step_E_on_every_k_at_least_w_step(monkeypatch):
+    # a [w:k]-pair with k >= w is a Scopes equivalence: E_a^(k) only moves
+    # each term's k removable runner-a beads back one slot
+    relabel, step, seen, stepped = canonical._relabel, InductiveEngine._step, [], []
+
+    def checked(vec, a, k, e, lo):
+        out = relabel(vec, a, k, e, lo)
+        assert out == step_E(vec, a, k, e, lo)
+        seen.append(len(vec))
+        return out
+
+    def counted(self, m, prev, z, pair):
+        stepped.append(pair.k >= pair.block.weight)
+        return step(self, m, prev, z, pair)
+
+    monkeypatch.setattr(canonical, "_relabel", checked)
+    monkeypatch.setattr(InductiveEngine, "_step", counted)
+    for mu in _E10_MUS:
+        InductiveEngine(10).column(P(mu))
+    assert (len(seen), sum(seen), len(stepped)) == (1048, 5371, 332)
+    # every AC-3 column, one engine per e as `verify` builds them
+    engines = {}
+    for b in ac3_blocks():
+        ctx = BlockContext(b)
+        eng = engines.setdefault(b.e, InductiveEngine(b.e))
+        for mu in ctx.members():
+            if is_m_increasing(ctx.z_map()[mu], 4):
+                eng.column(mu)
+    assert (len(seen), len(stepped)) == (1048 + 5048, 332 + 1723)
+    # every k >= w step of these chains relabels
+    assert not any(stepped)
+
+
+def test_relabel_refuses_a_term_that_E_does_not_only_relabel():
+    # e = 3, a = 1, k = 1: (2) has one removable runner-1 bead and no
+    # addable runner-0 bead; (2,1) has an addable runner-0 bead and (2,1,1)
+    # two removable runner-1 beads
+    lo = -6
+    vec = {mask_of(P("2"), lo): {0: 1}}
+    assert canonical._relabel(vec, 1, 1, 3, lo) == step_E(vec, 1, 1, 3, lo) == {mask_of(P("1"), lo): {0: 1}}
+    for lam in ("2,1", "2,1,1"):
+        with pytest.raises(AssertionError, match="does not only relabel"):
+            canonical._relabel({mask_of(P(lam), lo): {0: 1}}, 1, 1, 3, lo)
+
+
+def test_engine_refuses_a_wrong_weyl_transport(monkeypatch):
+    mu = P("17,7,2^4,1^5")
+    monkeypatch.setattr(canonical, "weyl_s", lambda a, i: weyl_s(a, i + 1))
+    with pytest.raises(AssertionError, match="Weyl transport left the expected block or label"):
+        InductiveEngine(10).column(mu)
+    monkeypatch.undo()
+    # the right cores but a wrong label
+    movements_z = canonical.movements_z
+    monkeypatch.setattr(canonical, "movements_z", lambda a: (movements_z(a)[0], (0, 0, 0)))
+    with pytest.raises(AssertionError, match="Weyl transport left the expected block or label"):
+        InductiveEngine(10).column(mu)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda col, m: {**col, m: {1: 1}}, "not unitriangular at mu"),
+    (lambda col, m: {x: ({0: 1} if x != m else c) for x, c in col.items()}, "violates triangularity"),
+])
+def test_store_checks_every_relabelled_column(monkeypatch, mutate, message):
+    relabel = canonical._relabel
+
+    def bad(vec, a, k, e, lo):
+        out = relabel(vec, a, k, e, lo)
+        return mutate(out, next(x for x, c in out.items() if c == {0: 1}))
+
+    monkeypatch.setattr(canonical, "_relabel", bad)
+    with pytest.raises(AssertionError, match=message):
+        InductiveEngine(10).column(P("17,7,2^4,1^5"))
+
+
+def test_offset_from_core_tops_matches_the_block_offset():
+    blocks = list(ac3_blocks()) + [block_of(P("17,7,2^4,1^5"), 10)]
+    cores = 0
+    for b in blocks:
+        for tops in scopes_chain_blocks(b)[0]:
+            core = _core_from_tops(tops, b.e)
+            assert canonical._tops_offset(tops, b.weight) == canonical._offset(BlockId(b.e, core, b.weight))
+            cores += 1
+    assert cores == 5721
