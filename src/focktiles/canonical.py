@@ -33,11 +33,12 @@ from .abacus import (
 from .fock import FockVector, _accumulate, addable_beads, apply_F, pack, removable_beads, step_E, step_F, unpack
 from .labels import (
     BlockContext,
+    abacus_movements,
+    abacus_z,
     is_hook_quotient,
     is_m_increasing,
     modified_basis,
     movements,
-    movements_z,
     vec_sub,
     z_label,
 )
@@ -523,13 +524,14 @@ class InductiveEngine:
 
     mu's representatives along the chain are abaci, carried back by
     `weyl_s`; each must have the visited core tops and z(mu), read off the
-    abacus (`labels.movements_z`), so no `facts` record is made for them.
-    A [w:k]-pair with k >= w is a Scopes equivalence: when the
-    representative has no removable runner-a bead, the step relabels
+    abacus (`labels.abacus_z`), so no `facts` record is made for them.
+    A [w:k]-pair with k >= w is a Scopes equivalence, and its step relabels
     G(prev) (`_relabel`), checking on every term that E_a^(k) only moves
     its k removable runner-a beads back one slot; a `BlockId` is built only
     for the Rouquier base and for the two blocks of a k < w pair.  Every
-    stored column passes `_store`'s checks.
+    stored column passes `_store`'s checks; a label with a removable
+    runner-a bead (none has one in a block of weight w <= k) would be
+    missing from its relabelled column and refused there.
 
     Every column built is kept, not only a step's predecessor: later columns
     pick up their chains from them, and correction generators are read
@@ -577,7 +579,7 @@ class InductiveEngine:
             reps.append(weyl_s(reps[-1], a))
         reps.reverse()
         for r, t in zip(reps, tops):
-            if _runner_tops(r.runner_slices(), e) != list(t) or movements_z(r)[1] != z:
+            if _runner_tops(r.runner_slices(), e) != list(t) or abacus_z(r, abacus_movements(r)) != z:
                 raise AssertionError("Weyl transport left the expected block or label")
         lo = _tops_offset(tops[0], w)
         if reps[0] not in self.cols:
@@ -587,13 +589,12 @@ class InductiveEngine:
             blo, lo = lo, _tops_offset(tops[i], w)
             if reps[i] in self.cols:
                 continue
-            m = reps[i].mask_over(lo)
-            if k >= w and not _removable(m) & _runner(a, e, lo, m.bit_length()):
+            if k >= w:
                 col = _move(_relabel(self.cols[reps[i - 1]], a, k, e, blo), blo, lo)
             else:
                 pair = ScopesPair(block=BlockId(e, _core_from_tops(tops[i - 1], e), w),
                                   tilde=BlockId(e, _core_from_tops(tops[i], e), w), a=a, k=k)
-                col = self._step(m, reps[i - 1], z, pair)
+                col = self._step(reps[i].mask_over(lo), reps[i - 1], z, pair, blo, lo)
             self._store(reps[i], lo, col)
         return self.cols[rep]
 
@@ -610,12 +611,11 @@ class InductiveEngine:
         self.cols[rep] = col
         return col
 
-    def _step(self, m, prev, z, pair):
-        """One Scopes step: the column of the label with mask m over the
-        offset of s_a(B), from that of prev (an abacus) in B, both with
-        label z; packed."""
+    def _step(self, m, prev, z, pair, blo, lo):
+        """One Scopes step: the column of the label with mask m over lo (the
+        offset of s_a(B)), packed over lo, from that of prev (an abacus in
+        B, whose column is packed over blo); both labels have z."""
         e, a, k = self.e, pair.a, pair.k
-        lo = _offset(pair.tilde)
         rem = _removable(m) & _runner(a, e, lo, m.bit_length())
         if rem & (rem - 1):
             raise AssertionError("4-increasing exceptional partition with several removable beads")
@@ -626,9 +626,8 @@ class InductiveEngine:
                 raise AssertionError("1-increasing exceptional family must be hook-quotient")
             if m == mask_of(fam.upper[0], lo):
                 return self._F(gen, a, lo)
-        blo = _offset(pair.block)
         col = _move(step_E(self.cols[prev], a, k, e, blo), blo, lo)
-        for fam, n in self._corrections(col, m, z, pair):
+        for fam, n in self._corrections(col, m, z, pair, lo):
             _subtract_multiple(col, quantum_int(n - 1), self._F(fam.generator, a, lo))
         return col
 
@@ -637,14 +636,14 @@ class InductiveEngine:
         glo = _offset(block_of(gen, self.e))
         return _move(step_F(self._column(gen), a, 1, self.e, glo), glo, lo)
 
-    def _corrections(self, col, m, z_prev, pair):
+    def _corrections(self, col, m, z_prev, pair, lo):
         """The families with s = 0 and n >= 2 for z_prev = z(prev), with their n.
 
         Their generators are read off the offenders of col = E_a^(k) G(prev),
-        packed over the offset of s_a(B) with m the mask of its label: every
-        lambdatilde^j of a family leads back to its one generator.
+        packed over lo, the offset of s_a(B), with m the mask of its label:
+        every lambdatilde^j of a family leads back to its one generator.
         """
-        e, lo = self.e, _offset(pair.tilde)
+        e = self.e
         gens = dict.fromkeys(
             _bead_back(x, pair.a, e, lo) for x, c in col.items() if x != m and min(c) <= 0
         )

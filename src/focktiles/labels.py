@@ -16,14 +16,9 @@ class BeadMovement(namedtuple("BeadMovement", "b q index")):
     __slots__ = ()
 
 
-def movements_z(a):
-    """(movements, z) of the beta-set of the `Abacus` a: its bead movements in
-    the total order (by q, then b) and z, the armlength of each.
-
-    The armlength of a movement starting at q is the gap count in (q - e, q]:
-    e minus the popcount of that e-bit window of the mask.  The window lies
-    above base: a bead with g gaps above it has at least g slots above it on
-    its runner, so q >= base + e."""
+def abacus_movements(a):
+    """The bead movements of the beta-set of the `Abacus` a, in the total
+    order (by q, then b)."""
     e = a.e
     raw = []
     for first, bits in a.runner_slices():
@@ -39,21 +34,30 @@ def movements_z(a):
             raw.extend((x - i * e, x) for i in range(j - bits.count("1", 0, j)))
             j += 1
     raw.sort()
-    mask, base, full = a.mask, a.base, (1 << e) - 1
-    return (tuple(BeadMovement(b=b, q=q, index=r + 1) for r, (q, b) in enumerate(raw)),
-            tuple(e - (mask >> (q - e + 1 - base) & full).bit_count() for q, _ in raw))
+    return tuple(BeadMovement(b=b, q=q, index=r + 1) for r, (q, b) in enumerate(raw))
+
+
+def abacus_z(a, mvs):
+    """z of the beta-set of the `Abacus` a, whose movements are mvs: the
+    armlength of each.
+
+    The armlength of a movement starting at q is the gap count in (q - e, q]:
+    e minus the popcount of that e-bit window of the mask.  The window lies
+    above base: a bead with g gaps above it has at least g slots above it on
+    its runner, so q >= base + e."""
+    e, mask, base = a.e, a.mask, a.base
+    full = (1 << e) - 1
+    return tuple(e - (mask >> (mv.q - e + 1 - base) & full).bit_count() for mv in mvs)
 
 
 def _moved(lam, e):
-    """The `facts` record of lam with its movements and z filled, and the
-    movements' runner chains {runner: (idx, l)}: each runner's movement
-    indices and the position in idx of the first movement of its bottom
-    bead."""
+    """The `facts` record of lam with its movements filled, and their runner
+    chains {runner: (idx, l)}: each runner's movement indices and the
+    position in idx of the first movement of its bottom bead."""
     f = facts(lam, e)
     if f.movements is not None:
         return f
-    f.movements, f.z = movements_z(f.abacus)
-    mvs = f.movements
+    f.movements = mvs = abacus_movements(f.abacus)
     f.chains = {}
     for runner in range(e):
         idx = tuple(mv.index for mv in mvs if mv.q % e == runner)
@@ -113,7 +117,10 @@ def hooks_e(lam, e):
 
 def z_label(lam, e):
     """z(lam): armlengths of all bead movements, in movement order."""
-    return _moved(lam, e).z
+    f = _moved(lam, e)
+    if f.z is None:
+        f.z = abacus_z(f.abacus, f.movements)
+    return f.z
 
 
 def is_m_increasing(z, m):
