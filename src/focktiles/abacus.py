@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, combinations, product
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .partitions import EMPTY, Partition, all_partitions
 
@@ -167,10 +167,6 @@ class Abacus(tuple):
             m ^= (1 << (x - low)) | (1 << (y - low))
         return Abacus(self.e, low, m)
 
-    def shift(self, c):
-        """Add c to every position (charge shift)."""
-        return Abacus(self.e, self.base + c, self.mask)
-
     def mask_over(self, lo):
         """The same beta-set packed over an offset lo <= base."""
         d = self.base - lo
@@ -194,12 +190,17 @@ def _runner_tops(runners, e):
     return [first + (bits.count("1") - 1) * e for first, bits in runners]
 
 
-def _core_from_tops(tops, e):
-    """The e-core whose runner r ends at position tops[r]: over an offset lo
-    that is a multiple of e and at least a level below every top, runner r
-    is full from lo + r up to tops[r]."""
-    lo = e * (min(tops) // e - 1)
-    return _partition_of_bits(_interleave(["1" * ((x - r - lo) // e + 1) for r, x in enumerate(tops)]))
+def _from_tops(tops, quot):
+    """The partition whose runner r holds quot[r] below the top tops[r] of a
+    core runner (tops[r] = r mod e, e = len(tops)): the beta-set of quot[r]
+    in charge tops[r] // e + 1 on runner r, every runner starting at the
+    common level k0; an empty quot[r] leaves runner r full from k0 to its top.
+    With empty quotients it is the e-core with these tops."""
+    e = len(tops)
+    charges = [x // e + 1 for x in tops]
+    k0 = min(map(sub, charges, map(len, quot)))
+    return _partition_of_bits(_interleave([bin(mask_of(nu, k0 - c))[:1:-1] if nu else "1" * (c - k0)
+                                           for c, nu in zip(charges, quot)]))
 
 
 def core_quotient_weight(a):
@@ -210,7 +211,7 @@ def core_quotient_weight(a):
     """
     runners = a.runner_slices()
     quot = tuple(_partition_of_bits(bits) for _, bits in runners)
-    return _core_from_tops(_runner_tops(runners, a.e), a.e), quot, sum(q.size for q in quot)
+    return _from_tops(_runner_tops(runners, a.e), (EMPTY,) * a.e), quot, sum(q.size for q in quot)
 
 
 class Facts:
@@ -296,14 +297,10 @@ def core_tops(core, e):
     return tuple(_runner_tops(abacus_of(core, e).runner_slices(), e))
 
 
-def core_levels(core, e):
-    """Runner levels (x_r - r)/e of a core, canonical charge."""
-    return tuple(x // e for x in core_tops(core, e))
-
-
 def core_from_levels(levels, e):
-    """The core whose runner r ends at position r + e*levels[r]."""
-    return _core_from_tops([r + e * lv for r, lv in enumerate(levels)], e)
+    """The core whose runner r ends at position r + e*levels[r]: an input
+    helper, since the library reads cores by their tops (`core_tops`)."""
+    return _from_tops([r + e * lv for r, lv in enumerate(levels)], (EMPTY,) * e)
 
 
 def _compositions(total, nparts):
@@ -312,15 +309,6 @@ def _compositions(total, nparts):
     n = total + nparts - 1
     for bars in combinations(range(n), nparts - 1):
         yield tuple(j - i - 1 for i, j in zip((-1,) + bars, bars + (n,)))
-
-
-def _from_levels(levels, quot):
-    """The partition whose runner r holds quot[r] below the top of a core
-    runner at level levels[r]: the beta-set of quot[r] in charge
-    levels[r] + 1, every runner starting at the common level k0."""
-    k0 = min(lv + 1 - len(nu) for lv, nu in zip(levels, quot))
-    runners = [bin(mask_of(nu, k0 - lv - 1))[:1:-1] for lv, nu in zip(levels, quot)]
-    return _partition_of_bits(_interleave(runners))
 
 
 def quotient_tuples(e, w):
@@ -332,8 +320,8 @@ def quotient_tuples(e, w):
 
 def enumerate_block(b):
     """All partitions with the block's e-core and e-weight."""
-    levels = core_levels(b.core, b.e)
-    out = [_from_levels(levels, quot) for quot in quotient_tuples(b.e, b.weight)]
+    tops = core_tops(b.core, b.e)
+    out = [_from_tops(tops, quot) for quot in quotient_tuples(b.e, b.weight)]
     out.sort(reverse=True)
     return out
 
@@ -416,10 +404,16 @@ def weyl_s(a, i):
     """The crystal Weyl-group action of the simple reflection s_i.
 
     Runner i of the core of a holds k removable beads (k > 0) or -k addable
-    ones (k < 0), read off its runner tops by `_reflect`, and s_i is the
-    crystal string Etilde_i^k or Ftilde_i^-k (`crystal_string`).
+    ones (k < 0), k = (x_i - x_{i-1} - 1) / e as in `_reflect`, and s_i is
+    the crystal string Etilde_i^k or Ftilde_i^-k (`crystal_string`).  Only
+    the two runners are read: the core's runner r ends at its first slot
+    plus e times one less than the beads a holds on it.
     """
-    out = crystal_string(a, i, _reflect(_runner_tops(a.runner_slices(), a.e), i)[0])
+    e, base, mask = a
+    width = mask.bit_length()
+    x_prev, x = (a.first_slot(r) + ((mask & _runner(r, e, base, width)).bit_count() - 1) * e
+                 for r in (i - 1, i))
+    out = crystal_string(a, i, (x - x_prev - 1) // e)
     if out is None:
         raise AssertionError("crystal string shorter than Weyl step")
     return out
@@ -525,12 +519,14 @@ def _rouquier_base(need, tops):
 SCOPES_CHAIN_LIMIT = 50_000
 
 
-def scopes_chain(b):
-    """A Scopes chain from a Rouquier block B_0 of the same weight to b.
+def scopes_chain_blocks(b):
+    """(tops, chain): a Scopes chain from a Rouquier block B_0 of the same
+    weight to b, and the core tops T_0, ..., T_n it visits.
 
-    Returns a list of (a_i, k_i): replaying s_{a_i} forward from B_0, where
-    the i-th core has k_i >= 1 removable beads on runner a_i, lands on b.
-    The chain is empty when b is already Rouquier.
+    chain is a list of (a_i, k_i): replaying s_{a_i} forward from B_0, where
+    the i-th core, with tops T_i, has k_i >= 1 removable beads on runner
+    a_i, lands on b, whose core has the tops T_n.  The chain is empty when b
+    is already Rouquier.  No core or block is built here.
 
     B_0 is a least-length Rouquier block above b in the left weak order
     (`_rouquier_base`), and every step is a descent that keeps the core
@@ -538,17 +534,9 @@ def scopes_chain(b):
     M[rank of runner a][rank of runner a-1], from k to k-1.  The chain is
     therefore reduced, of length l(B_0) - l(b).
     """
-    return scopes_chain_blocks(b)[1]
-
-
-def scopes_chain_blocks(b):
-    """(tops, chain): the core tops T_0, ..., T_n the descent visits along
-    chain = scopes_chain(b), T_0 those of the Rouquier base and T_n those of
-    b's core.  Block i is BlockId(e, _core_from_tops(T_i, e), w); no core or
-    block is built here."""
     e, w = b.e, b.weight
     if w < 1:
-        raise ValueError("scopes_chain requires weight >= 1")
+        raise ValueError("a Scopes chain requires weight >= 1")
     goal = core_tops(b.core, e)
     m_b = core_inversions(goal)
     x = _rouquier_base(w - 1, goal)

@@ -12,14 +12,12 @@ from collections import namedtuple
 from .abacus import (
     BlockId,
     _addable,
-    _core_from_tops,
-    _from_levels,
+    _from_tops,
     _matched_signature,
     _removable,
     _runner,
     _runner_tops,
     block_of,
-    core_levels,
     core_tops,
     facts,
     is_rouquier,
@@ -340,9 +338,9 @@ def rouquier_column(mu, b, ctx=None):
             if _rouquier_d_reduced(ql, qm) != values.get(ql, LaurentPoly.zero()):
                 raise AssertionError("the hook reduction disagrees with the LR formula %s the LR support at %r"
                                      % ("on" if ql in values else "off", ql))
-    levels = core_levels(b.core, e)
+    tops = core_tops(b.core, e)
     # runner r of the display shifted by c is runner r - c unshifted
-    col = FockVector({_from_levels(levels, ql[c:] + ql[:c]): v for ql, v in values.items()})
+    col = FockVector({_from_tops(tops, ql[c:] + ql[:c]): v for ql, v in values.items()})
     cache[mu] = col
     return col
 
@@ -350,9 +348,9 @@ def rouquier_column(mu, b, ctx=None):
 # -- exceptional families ----------------------------------------------------
 
 
-class ScopesPair(namedtuple("ScopesPair", "block tilde a k")):
-    """Blocks B (block) and s_a(B) (tilde) forming a [w:k]-pair for the
-    runner a."""
+class ScopesPair(namedtuple("ScopesPair", "tops w a k")):
+    """Weight-w blocks B and s_a(B) forming a [w:k]-pair for the runner a,
+    given by the core tops of s_a(B); e is len(tops)."""
 
     __slots__ = ()
 
@@ -440,7 +438,7 @@ def exceptional_family(gen, pair):
 
     Requires E_a(gen) = 0 and gen in the weight w-k-1 block of the pair.
     """
-    e, a, k = pair.block.e, pair.a, pair.k
+    e, a, k = len(pair.tops), pair.a, pair.k
     if removable_beads(gen, a, e):
         raise ValueError("the generator must satisfy E_a = 0")
     C = addable_beads(gen, (a - 1) % e, e)
@@ -464,7 +462,7 @@ def exceptional_family(gen, pair):
         for j in range(k + 2)
     )
     # internal coordinates, read off the leading member in s_a(B)
-    y0 = core_tops(pair.tilde.core, e)[a % e] + e
+    y0 = pair.tops[a % e] + e
     mvs = movements(upper[0], e)
     internal = []
     for g in range(k + 1):
@@ -474,7 +472,7 @@ def exceptional_family(gen, pair):
         internal.append(hits[0])
     if internal != sorted(internal):
         raise AssertionError("internal coordinates out of order")
-    w = pair.block.weight
+    w = pair.w
     external = tuple(i for i in range(1, w + 1) if i not in internal)
     i = internal
     unit = lambda r: tuple(1 if t == r - 1 else 0 for t in range(w))
@@ -512,26 +510,27 @@ def exceptional_family(gen, pair):
 class InductiveEngine:
     """Scopes-chain construction of canonical-basis columns.
 
-    The column of mu is kept packed over the offset `_offset(b)` of its
-    block b, {mask: {exponent: int}} as `fock` steps them, and cached by
-    mu's `Abacus`, which fixes b at the engine's e.  The chain of each block asked for is
+    The column of mu is kept packed over the offset of its block b
+    (`_tops_offset`), {mask: {exponent: int}} as `fock` steps them, stored
+    together with that offset as (lo, col) and cached by mu's `Abacus`,
+    which fixes b at the engine's e.  The chain of each block asked for is
     kept as `scopes_chain_blocks` gives it, the core tops it visits and its
-    steps, so a chain of L steps holds O(L) slots.  A step works over the
-    offsets of the blocks it reads and moves its result to the offset of
-    the block it writes (`_move`), each offset read off the block's core
-    tops (`_tops_offset`).  Only the column that `column` returns is
-    unpacked.
+    steps, so a chain of L steps holds O(L) slots.  A step reads its
+    predecessor's offset from the store, works over it, and moves its
+    result to the offset of the block it writes (`_move`), read off that
+    block's core tops.  Only the column that `column` returns is unpacked.
 
     mu's representatives along the chain are abaci, carried back by
-    `weyl_s`; each must have the visited core tops and z(mu), read off the
-    abacus (`labels.abacus_z`), so no `facts` record is made for them.
-    A [w:k]-pair with k >= w is a Scopes equivalence, and its step relabels
-    G(prev) (`_relabel`), checking on every term that E_a^(k) only moves
-    its k removable runner-a beads back one slot; a `BlockId` is built only
-    for the Rouquier base and for the two blocks of a k < w pair.  Every
-    stored column passes `_store`'s checks; a label with a removable
-    runner-a bead (none has one in a block of weight w <= k) would be
-    missing from its relabelled column and refused there.
+    `weyl_s`; each must have the visited core tops and z(mu), read off one
+    `runner_slices` of the abacus (`labels.abacus_movements`,
+    `labels.abacus_z`), so no `facts` record is made for them.  A [w:k]-pair
+    with k >= w is a Scopes equivalence, and its step relabels G(prev)
+    (`_relabel`), checking on every term that E_a^(k) only moves its k
+    removable runner-a beads back one slot; a k < w pair is given by the
+    core tops of s_a(B) (`ScopesPair`), so a `BlockId` is built only for
+    the Rouquier base.  Every stored column passes `_store`'s checks; a
+    label with a removable runner-a bead (none has one in a block of weight
+    w <= k) would be missing from its relabelled column and refused there.
 
     Every column built is kept, not only a step's predecessor: later columns
     pick up their chains from them, and correction generators are read
@@ -552,55 +551,56 @@ class InductiveEngine:
 
     def column(self, mu):
         """G(mu) as a Fock vector."""
-        return unpack(self._column(mu))
+        return unpack(self._column(mu)[1])
 
     def _column(self, mu):
-        """G(mu) packed over the offset of its block."""
+        """(lo, G(mu) packed over lo), lo the offset of mu's block."""
         e = self.e
         rep = facts(mu, e).abacus
         if rep in self.cols:
             return self.cols[rep]
         b = block_of(mu, e)
-        if b.weight == 0:
-            lo = _offset(b)
+        w = b.weight
+        if w == 0:
+            lo = _tops_offset(core_tops(b.core, e), 0)
             return self._store(rep, lo, pack(FockVector.basis(mu), lo))
         z = z_label(mu, e)
         if not is_m_increasing(z, 4):
             raise ValueError("inductive_G requires a 4-increasing partition")
         if is_rouquier(b):
-            lo = _offset(b)
+            lo = _tops_offset(core_tops(b.core, e), w)
             return self._store(rep, lo, pack(rouquier_column(mu, b), lo))
         # walk back along the Scopes chain to the Rouquier base, then build
         # the z-matched columns forward iteratively (chains can be long)
         tops, chain = self.chain(b)
-        w = b.weight
         reps = [rep]
         for a, _ in reversed(chain):
             reps.append(weyl_s(reps[-1], a))
         reps.reverse()
         for r, t in zip(reps, tops):
-            if _runner_tops(r.runner_slices(), e) != list(t) or abacus_z(r, abacus_movements(r)) != z:
+            runners = r.runner_slices()
+            if _runner_tops(runners, e) != list(t) or abacus_z(r, abacus_movements(runners, e)) != z:
                 raise AssertionError("Weyl transport left the expected block or label")
-        lo = _tops_offset(tops[0], w)
         if reps[0] not in self.cols:
-            base = BlockId(e, _core_from_tops(tops[0], e), w)
+            lo = _tops_offset(tops[0], w)
+            base = BlockId(e, _from_tops(tops[0], (EMPTY,) * e), w)
             self._store(reps[0], lo, pack(rouquier_column(partition_of(reps[0]), base), lo))
         for i, (a, k) in enumerate(chain, 1):
-            blo, lo = lo, _tops_offset(tops[i], w)
             if reps[i] in self.cols:
                 continue
+            blo, prev = self.cols[reps[i - 1]]
+            lo = _tops_offset(tops[i], w)
             if k >= w:
-                col = _move(_relabel(self.cols[reps[i - 1]], a, k, e, blo), blo, lo)
+                col = _move(_relabel(prev, a, k, e, blo), blo, lo)
             else:
-                pair = ScopesPair(block=BlockId(e, _core_from_tops(tops[i - 1], e), w),
-                                  tilde=BlockId(e, _core_from_tops(tops[i], e), w), a=a, k=k)
-                col = self._step(reps[i].mask_over(lo), reps[i - 1], z, pair, blo, lo)
+                pair = ScopesPair(tops=tops[i], w=w, a=a, k=k)
+                col = self._step(reps[i].mask_over(lo), prev, z, pair, blo, lo)
             self._store(reps[i], lo, col)
         return self.cols[rep]
 
     def _store(self, rep, lo, col):
-        """Keep col, packed over lo, as the column of the label whose abacus
-        is rep."""
+        """Keep col, packed over lo, with lo as the column of the label whose
+        abacus is rep; return (lo, col)."""
         if any(x & 3 != 3 for x in col):
             raise AssertionError("a packed term comes within two rows of its block's offset")
         m = rep.mask_over(lo)
@@ -608,13 +608,13 @@ class InductiveEngine:
             raise AssertionError("inductive column is not unitriangular at mu")
         if any(min(c) <= 0 for x, c in col.items() if x != m):
             raise AssertionError("inductive column violates triangularity")
-        self.cols[rep] = col
-        return col
+        self.cols[rep] = lo, col
+        return lo, col
 
     def _step(self, m, prev, z, pair, blo, lo):
         """One Scopes step: the column of the label with mask m over lo (the
-        offset of s_a(B)), packed over lo, from that of prev (an abacus in
-        B, whose column is packed over blo); both labels have z."""
+        offset of s_a(B)), packed over lo, from prev, the column of its
+        predecessor in B packed over blo; both labels have z."""
         e, a, k = self.e, pair.a, pair.k
         rem = _removable(m) & _runner(a, e, lo, m.bit_length())
         if rem & (rem - 1):
@@ -626,15 +626,15 @@ class InductiveEngine:
                 raise AssertionError("1-increasing exceptional family must be hook-quotient")
             if m == mask_of(fam.upper[0], lo):
                 return self._F(gen, a, lo)
-        col = _move(step_E(self.cols[prev], a, k, e, blo), blo, lo)
+        col = _move(step_E(prev, a, k, e, blo), blo, lo)
         for fam, n in self._corrections(col, m, z, pair, lo):
             _subtract_multiple(col, quantum_int(n - 1), self._F(fam.generator, a, lo))
         return col
 
     def _F(self, gen, a, lo):
-        """F_a G(gen), packed over lo."""
-        glo = _offset(block_of(gen, self.e))
-        return _move(step_F(self._column(gen), a, 1, self.e, glo), glo, lo)
+        """F_a G(gen), packed over lo; G(gen) is read with its own offset."""
+        glo, col = self._column(gen)
+        return _move(step_F(col, a, 1, self.e, glo), glo, lo)
 
     def _corrections(self, col, m, z_prev, pair, lo):
         """The families with s = 0 and n >= 2 for z_prev = z(prev), with their n.
@@ -657,16 +657,12 @@ class InductiveEngine:
         return out
 
 
-def _offset(b):
-    """The packing offset of block b.  A member is b's core plus w rim
-    e-hooks, each adding at most e rows, so every member keeps two filled
-    positions above this offset and a step from one stays in range."""
-    return -(len(b.core.parts) + b.e * b.weight + 2)
-
-
 def _tops_offset(tops, w):
-    """`_offset` of the weight-w block whose core has the runner tops given:
-    a core's rows are its beads above its lowest gap, min(tops) + e."""
+    """The packing offset of the weight-w block whose core has the runner
+    tops given.  A member is the core plus w rim e-hooks, each adding at
+    most e rows, so over -(rows of the core + e w + 2) every member keeps
+    two filled positions above the offset and a step from one stays in
+    range.  The core's lowest gap is min(tops) + e, at -(its rows)."""
     e = len(tops)
     return min(tops) + e - e * w - 2
 

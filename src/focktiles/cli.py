@@ -70,18 +70,24 @@ def _dnum_one(lam, mu, e, method, engines):
     if method == "closed":
         _closed_domain(mu, e)
         return d_closed(lam, mu, e)
-    if method in ("llt", "rouquier"):
-        b = block_of(mu, e)
-        ctx = engines.get(("ctx", b))
-        if ctx is None:
-            ctx = engines[("ctx", b)] = BlockContext(b)
-        if method == "llt":  # ctx is the context of mu's block
-            return _llt_column(mu, e, ctx).coeff(lam)
+    if method not in ("llt", "rouquier", "inductive"):
+        raise ValueError("unknown method %r" % method)
+    b = block_of(mu, e)
+    ctx = engines.get(("ctx", b))
+    if ctx is None:
+        ctx = engines[("ctx", b)] = BlockContext(b)
+    if method == "llt":  # ctx is the context of mu's block
+        return _llt_column(mu, e, ctx).coeff(lam)
+    if method == "rouquier":
         return rouquier_d(lam, mu, b, ctx)
-    if method == "inductive":
-        eng = engines.setdefault(("ind", e), InductiveEngine(e))
-        return eng.column(mu).coeff(lam)
-    raise ValueError("unknown method %r" % method)
+    # one engine per e; each column is unpacked once, into its block's context
+    cache = ctx.cache("inductive")
+    if mu not in cache:
+        eng = engines.get(("ind", e))
+        if eng is None:
+            eng = engines[("ind", e)] = InductiveEngine(e)
+        cache[mu] = eng.column(mu)
+    return cache[mu].coeff(lam)
 
 
 def build_parser():

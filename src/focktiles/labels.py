@@ -16,12 +16,11 @@ class BeadMovement(namedtuple("BeadMovement", "b q index")):
     __slots__ = ()
 
 
-def abacus_movements(a):
-    """The bead movements of the beta-set of the `Abacus` a, in the total
-    order (by q, then b)."""
-    e = a.e
+def abacus_movements(runners, e):
+    """The bead movements, in the total order (by q, then b), of the beta-set
+    on e runners whose `Abacus.runner_slices` are given."""
     raw = []
-    for first, bits in a.runner_slices():
+    for first, bits in runners:
         # a bead with g gaps above it starts its g movements at itself and
         # the g - 1 positions above it on the runner; only the beads below
         # the runner's first gap have any
@@ -57,7 +56,7 @@ def _moved(lam, e):
     f = facts(lam, e)
     if f.movements is not None:
         return f
-    f.movements = mvs = abacus_movements(f.abacus)
+    f.movements = mvs = abacus_movements(f.abacus.runner_slices(), e)
     f.chains = {}
     for runner in range(e):
         idx = tuple(mv.index for mv in mvs if mv.q % e == runner)

@@ -8,9 +8,10 @@ import focktiles.abacus as abacus_module
 from focktiles.abacus import (
     Abacus,
     BlockId,
-    _core_from_tops,
-    _from_levels,
+    _from_tops,
+    _interleave,
     _matched_signature,
+    _partition_of_bits,
     _reflect,
     _runner,
     _runner_tops,
@@ -19,7 +20,6 @@ from focktiles.abacus import (
     block_of,
     core_from_levels,
     core_inversions,
-    core_levels,
     core_of,
     core_quotient_weight,
     core_reflection_counts,
@@ -30,11 +30,11 @@ from focktiles.abacus import (
     enumerate_block,
     is_core,
     is_rouquier,
+    mask_of,
     partition_of,
     partition_of_mask,
     quotient_of,
     rouquier_charge,
-    scopes_chain,
     scopes_chain_blocks,
     weight_of,
     weyl_s,
@@ -91,17 +91,33 @@ def _core_from_tops_reference(tops, e):
     return partition_of_mask(m)
 
 
+def _from_levels(levels, quot):
+    """Reference runner builder on levels: the partition whose runner r holds
+    quot[r] below the top of a core runner at level levels[r], as the beta-set
+    of quot[r] in charge levels[r] + 1, every runner starting at level k0."""
+    k0 = min(lv + 1 - len(nu) for lv, nu in zip(levels, quot))
+    runners = [bin(mask_of(nu, k0 - lv - 1))[:1:-1] for lv, nu in zip(levels, quot)]
+    return _partition_of_bits(_interleave(runners))
+
+
+def _core(tops):
+    """The core with the given runner tops."""
+    return _from_tops(tops, (EMPTY,) * len(tops))
+
+
 def test_core_from_tops_matches_runner_masks():
     for e in range(2, 9):
         for n in range(16):
             for lam in all_partitions(n):
                 tops = _runner_tops(abacus_of(lam, e).runner_slices(), e)
-                assert _core_from_tops(tops, e) == _core_from_tops_reference(tops, e), (lam, e)
+                assert _core(tops) == _core_from_tops_reference(tops, e), (lam, e)
     rng = random.Random(7)
     for _ in range(3000):
         e = rng.randint(2, 30)
         tops = [r + e * rng.randint(-6, 6) for r in range(e)]
-        assert _core_from_tops(tops, e) == _core_from_tops_reference(tops, e), tops
+        core = _core(tops)
+        assert core == _core_from_tops_reference(tops, e), tops
+        assert core == _from_levels([x // e for x in tops], (EMPTY,) * e), tops
 
 
 def test_is_core_reads_the_mask():
@@ -200,7 +216,8 @@ def test_abacus_matches_bead_set_model(model, data):
     assert b == a and hash(b) == hash(a)
     c = data.draw(st.integers(-7, 7))
     shifted = _from_occupied(e, {x + c for x in model.occ}, low + c)
-    assert a.shift(c) == shifted and hash(a.shift(c)) == hash(shifted)
+    by_c = Abacus(e, a.base + c, a.mask)  # every position shifted by c
+    assert by_c == shifted and hash(by_c) == hash(shifted)
     # simultaneous moves: beads to gaps, anywhere in the span
     beads = [x for x in span if model.occupied(x)]
     gaps = [x for x in span if not model.occupied(x)]
@@ -245,9 +262,10 @@ def test_enumerate_block_is_bijective():
         members = enumerate_block(b)
         assert len(set(members)) == len(members)
         quots = [quotient_of(lam, b.e) for lam in members]
+        tops = core_tops(b.core, b.e)
         for lam, quot in zip(members, quots):
             assert block_of(lam, b.e) == b
-            assert _from_levels(core_levels(b.core, b.e), quot) == lam
+            assert _from_tops(tops, quot) == _from_levels([x // b.e for x in tops], quot) == lam
         want = _multipartitions(b.weight, b.e)
         assert len(quots) == len(want) and set(quots) == set(want)
 
@@ -428,7 +446,7 @@ def test_rouquier_predicate():
     assert not is_rouquier(block_of(parse_partition("17,7,2^4,1^5"), 10))
     # runners of (2) sorted by top bead are 2, 0, 1 with level gaps 0 and 1:
     # consecutive in the cyclic order, but short of w - 1 = 1 after the wrap
-    assert core_levels(parse_partition("2"), 3) == (-1, 0, -2)
+    assert tuple(x // 3 for x in core_tops(parse_partition("2"), 3)) == (-1, 0, -2)
     assert not is_rouquier(BlockId(3, parse_partition("2"), 2))
     assert is_rouquier(BlockId(3, parse_partition("2"), 1))
 
@@ -438,11 +456,13 @@ def _small_cores(e, max_size=12):
 
 
 def _rouquier_charge_reference(core, e, w):
-    """Least c whose display abacus_of(core, e).shift(c) holds at least w-1
-    more beads on runner a than on runner a-1 for a = 1, ..., e-1, counting
-    every runner from one row below which all positions are beads."""
+    """Least c whose display of core with every position shifted by c holds
+    at least w-1 more beads on runner a than on runner a-1 for a = 1, ...,
+    e-1, counting every runner from one row below which all positions are
+    beads."""
+    a0 = abacus_of(core, e)
     for c in range(e):
-        a = abacus_of(core, e).shift(c)
+        a = Abacus(e, a0.base + c, a0.mask)
         beads = [0] * e
         for x in range(a.base - a.base % e, a.max_occupied() + 1):
             beads[x % e] += a.occupied(x)
@@ -484,11 +504,11 @@ def test_core_reflection_counts_match_weyl_s():
 
 def test_scopes_chain():
     rb = BlockId(3, core_from_levels((0, 1, 2), 3), 2)
-    assert scopes_chain(rb) == []
+    assert scopes_chain_blocks(rb)[1] == []
     for b in [BlockId(3, EMPTY, 1), BlockId(3, EMPTY, 2), BlockId(5, parse_partition("3,1"), 2),
               block_of(parse_partition("17,7,2^4,1^5"), 10)]:
         tops, chain = scopes_chain_blocks(b)
-        cores = [_core_from_tops(t, b.e) for t in tops]
+        cores = [_core(t) for t in tops]
         assert tops[-1] == core_tops(b.core, b.e) and cores[-1] == b.core
         assert is_rouquier(BlockId(b.e, cores[0], b.weight))
         assert len(tops) == len(chain) + 1
@@ -500,7 +520,7 @@ def test_scopes_chain():
             stepped = partition_of(weyl_s(abacus_of(cores[i], b.e), a))
             assert stepped == cores[i + 1]
     with pytest.raises(ValueError):
-        scopes_chain(BlockId(3, EMPTY, 0))
+        scopes_chain_blocks(BlockId(3, EMPTY, 0))[1]
 
 
 def test_scopes_descent_is_bounded(monkeypatch):
@@ -597,7 +617,7 @@ def _rouquier_cores(e, need, max_len):
 def test_scopes_chain_least_length_base(e, w):
     targets = [lam for n in range(11) for lam in all_partitions(n) if weight_of(lam, e) == 0]
     chains = {core: scopes_chain_blocks(BlockId(e, core, w)) for core in targets}
-    top = max(_hook_length(_core_from_tops(tops[0], e), e) for tops, _ in chains.values())
+    top = max(_hook_length(_core(tops[0]), e) for tops, _ in chains.values())
     cands = _rouquier_cores(e, w - 1, top)
     for cost, kappa in cands:
         assert is_rouquier(BlockId(e, kappa, w)) and _hook_length(kappa, e) == cost
@@ -611,7 +631,7 @@ def test_scopes_chain_least_length_base(e, w):
                     found.add(kappa)
         assert found == {kappa for _, kappa in cands}
     for core, (tops, chain) in chains.items():
-        base = _core_from_tops(tops[0], e)
+        base = _core(tops[0])
         assert is_rouquier(BlockId(e, base, w))
         assert len(chain) == _hook_length(base, e) - _hook_length(core, e)
         assert _weak_leq(core, base, e)
@@ -623,7 +643,7 @@ def test_scopes_chain_least_length_base(e, w):
 def test_scopes_chain_e10_base():
     b = block_of(parse_partition("17,7,2^4,1^5"), 10)
     tops, chain = scopes_chain_blocks(b)
-    base = _core_from_tops(tops[0], 10)
+    base = _core(tops[0])
     assert len(chain) == 323
     assert _hook_length(base, 10) == _affine_length(core_tops(base, 10)) == 330
     assert base.size == 1815

@@ -15,8 +15,9 @@ import focktiles
 from focktiles import canonical, polytope
 from focktiles.partitions import EMPTY, Partition, all_partitions, conjugate, dominance_leq, is_e_regular, parse_partition
 from focktiles.abacus import (
+    Abacus,
     BlockId,
-    _core_from_tops,
+    _from_tops,
     _matched_signature,
     _removable,
     abacus_of,
@@ -512,7 +513,8 @@ def _rouquier_value(ql, qm, e):
 
 def _shifted_abacus_quotient(lam, e, c):
     """Reference: the quotient read off the abacus display shifted by c."""
-    return core_quotient_weight(abacus_of(lam, e).shift(c))[1]
+    a = abacus_of(lam, e)
+    return core_quotient_weight(Abacus(e, a.base + c, a.mask))[1]
 
 
 def test_shifted_quotient_is_the_rotated_quotient():
@@ -663,20 +665,21 @@ def test_rouquier_column_vs_llt():
 
 def _pair_into(b, a, k):
     """The [w:k]-pair for runner a whose upper block s_a(B) is b."""
-    upper = BlockId(b.e, partition_of(weyl_s(abacus_of(b.core, b.e), a)), b.weight)
-    assert core_reflection_counts(core_tops(upper.core, b.e), a) == (k, 0)
-    return ScopesPair(block=upper, tilde=b, a=a, k=k)
+    lower = partition_of(weyl_s(abacus_of(b.core, b.e), a))  # the core of B
+    assert core_reflection_counts(core_tops(lower, b.e), a) == (k, 0)
+    return ScopesPair(tops=core_tops(b.core, b.e), w=b.weight, a=a, k=k)
 
 
 def _check_family_block(pair):
     """The weight w-k-1 block holding the family generators."""
-    e, a = pair.block.e, pair.a
-    wcheck = pair.block.weight - pair.k - 1
+    e, a = len(pair.tops), pair.a
+    wcheck = pair.w - pair.k - 1
     if wcheck < 0:
         return None
-    tops = core_tops(pair.tilde.core, e)
+    tops = pair.tops
     bottom, target = tops[a % e], tops[a - 1] + e
-    return BlockId(e, partition_of(abacus_of(pair.tilde.core, e).move_bead(bottom, target)), wcheck)
+    core = abacus_of(_from_tops(tops, (EMPTY,) * e), e).move_bead(bottom, target)
+    return BlockId(e, partition_of(core), wcheck)
 
 
 def _hook_quotient_families(pair):
@@ -687,7 +690,7 @@ def _hook_quotient_families(pair):
         return []
     out = []
     for gen in enumerate_block(bcheck):
-        if removable_beads(gen, pair.a, pair.block.e):
+        if removable_beads(gen, pair.a, len(pair.tops)):
             continue
         fam = exceptional_family(gen, pair)
         if fam is not None:
@@ -739,7 +742,7 @@ def test_exceptional_family_structure():
         verts2 = set()
         for j in range(fam.k + 2):
             verts2 |= set(parallelotope_of(fam.upper[j], e).vertices())
-        w = pair.block.weight
+        w = pair.w
         assert verts == verts2
         assert len(verts) == 2 ** (w - fam.k - 1) * (2 ** (fam.k + 2) - 1)
 
@@ -866,13 +869,18 @@ def test_scopes_column_of_the_13_4_block_is_pinned():
     assert digest == "aa62acc709d2d3570b7c8d689d6d12a76e8b8e1bba84832b8a7ba212275b77ac"
 
 
+def _rows_offset(b):
+    """Reference packing offset of block b, read off its core's rows."""
+    return -(len(b.core.parts) + b.e * b.weight + 2)
+
+
 def test_members_keep_two_rows_clear_of_the_block_offset():
     # a member is the core plus w rim e-hooks of at most e rows each
     blocks = list(ac3_blocks())
-    blocks += [BlockId(10, _core_from_tops(t, 10), 3)
+    blocks += [BlockId(10, _from_tops(t, (EMPTY,) * 10), 3)
                for t in scopes_chain_blocks(block_of(P("17,7,2^4,1^5"), 10))[0]]
     for b in blocks:
-        assert max(len(lam.parts) for lam in enumerate_block(b)) <= -canonical._offset(b) - 2, b
+        assert max(len(lam.parts) for lam in enumerate_block(b)) <= -_rows_offset(b) - 2, b
 
 
 def test_move_refuses_a_term_below_the_new_offset():
@@ -900,7 +908,7 @@ class _CheckedEngine(InductiveEngine):
             if sep and sep["s"] == 0 and sep["n"] >= 2:
                 want.add((fam.generator, sep["n"]))
         assert {(fam.generator, n) for fam, n in got} == want
-        wcheck = pair.block.weight - pair.k - 1
+        wcheck = pair.w - pair.k - 1
         self.used[wcheck] = self.used.get(wcheck, 0) + len(want)
         return got
 
@@ -955,13 +963,7 @@ def test_relabelling_equals_step_E_on_every_k_at_least_w_step(monkeypatch):
         InductiveEngine(10).column(P(mu))
     assert (len(seen), sum(seen), len(stepped)) == (1048, 5371, 332)
     # every AC-3 column, one engine per e as `verify` builds them
-    engines = {}
-    for b in ac3_blocks():
-        ctx = BlockContext(b)
-        eng = engines.setdefault(b.e, InductiveEngine(b.e))
-        for mu in ctx.members():
-            if is_m_increasing(ctx.z_map()[mu], 4):
-                eng.column(mu)
+    _ac3_engines()
     assert (len(seen), len(stepped)) == (1048 + 5048, 332 + 1723)
 
 
@@ -1010,7 +1012,49 @@ def test_offset_from_core_tops_matches_the_block_offset():
     cores = 0
     for b in blocks:
         for tops in scopes_chain_blocks(b)[0]:
-            core = _core_from_tops(tops, b.e)
-            assert canonical._tops_offset(tops, b.weight) == canonical._offset(BlockId(b.e, core, b.weight))
+            core = _from_tops(tops, (EMPTY,) * b.e)
+            assert canonical._tops_offset(tops, b.weight) == _rows_offset(BlockId(b.e, core, b.weight))
             cores += 1
     assert cores == 5721
+
+
+def _ac3_engines():
+    """One engine per e, as `verify` builds them, after every AC-3 column."""
+    engines = {}
+    for b in ac3_blocks():
+        ctx = BlockContext(b)
+        eng = engines.setdefault(b.e, InductiveEngine(b.e))
+        for mu in ctx.members():
+            if is_m_increasing(ctx.z_map()[mu], 4):
+                eng.column(mu)
+    return engines
+
+
+def test_every_stored_column_carries_its_block_offset():
+    stored = 0
+    for e, eng in _ac3_engines().items():
+        for rep, (lo, col) in eng.cols.items():
+            assert lo == _rows_offset(block_of(partition_of(rep), e)), rep
+            assert col[rep.mask_over(lo)] == {0: 1}
+            stored += 1
+    assert stored == 6851
+
+
+def test_a_k_below_w_step_builds_no_blockid(monkeypatch):
+    # a [w:k]-pair is the core tops of s_a(B): only Rouquier bases get a BlockId
+    made, stepped, step = [], [], InductiveEngine._step
+
+    def counted_block(*args):
+        made.append(BlockId(*args))
+        return made[-1]
+
+    def counted_step(self, m, prev, z, pair, blo, lo):
+        stepped.append(pair.k)
+        return step(self, m, prev, z, pair, blo, lo)
+
+    monkeypatch.setattr(canonical, "BlockId", counted_block)
+    monkeypatch.setattr(InductiveEngine, "_step", counted_step)
+    for mu in _E10_MUS:
+        InductiveEngine(10).column(P(mu))
+    assert (len(made), len(stepped)) == (15, 332)
+    assert all(is_rouquier(b) for b in made)

@@ -291,7 +291,7 @@ def test_d_closed_at_high_weight():
     # w = 24 at e = 8w + 2: lam has a single box on every seventh runner,
     # so z(lam) = (w-1, w+4, ...) and mu = lam + eps_Gamma is 4-increasing.
     # C(lam) has 2^24 vertices; the coordinate test never lists them.
-    from focktiles.abacus import _from_levels, facts
+    from focktiles.abacus import _from_tops, facts
     from focktiles.beadops import move_along
     from focktiles.labels import is_hook_quotient
     from focktiles.partitions import Partition
@@ -301,7 +301,7 @@ def test_d_closed_at_high_weight():
     quot = [EMPTY] * e
     for i in range(w):
         quot[7 * i] = Partition((1,))
-    lam = _from_levels((0,) * e, tuple(quot))
+    lam = _from_tops(tuple(range(e)), tuple(quot))  # every core runner at level 0
     gamma = range(1, w + 1, 2)
     mu = move_along(lam, gamma, e)
     assert is_hook_quotient(lam, e) and is_m_increasing(z_label(mu, e), 4)
