@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .abacus import (
+    FACTS_MAXSIZE,
+    Abacus,
     BlockId,
     _addable,
     _from_tops,
@@ -74,18 +76,33 @@ def llt_G(mu, e, ctx=None):
     """Canonical basis vector G(mu) for e-regular mu, by the crystal
     recursion of the LLT algorithm; ctx, when given, must be the context
     of mu's block."""
-    return _llt_column(mu, e, BlockContext.of(block_of(mu, e), ctx))
+    return _llt_column(mu, e, BlockContext.of(block_of(mu, e), ctx), None)
 
 
-def _llt_column(mu, e, ctx):
+class ColumnStore(dict):
+    """LLT columns kept across `_llt_column` calls at one e: the `Abacus`
+    of a label, which holds the offset-free (base, mask) of its beta-set,
+    -> (G of the label packed over lo, lo).  terms counts the packed terms
+    held; past FACTS_MAXSIZE of them only completed columns are added.
+    Stored columns are read, never changed in place."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self):
+        super().__init__()
+        self.terms = 0
+
+
+def _llt_column(mu, e, ctx, store):
     """G(mu) by the crystal recursion, on packed terms over one offset; ctx
-    must be the context of mu's block, which this does not check.
+    must be the context of mu's block, which this does not check, and store
+    a `ColumnStore` of e, or None to keep nothing past this call.
 
     Each column is built by a `_crystal_column` generator, which asks for
     the columns of its corrections; a stack of generators answers them, so
     nothing recurses.  The columns of ctx's block (the labels with |mu|
     nodes) are unpacked once and stored in ctx; the others lie in smaller
-    blocks and are dropped after use.
+    blocks and, with no store, are dropped after use.
     """
     cache = ctx.cache("llt")
     if mu in cache:
@@ -93,7 +110,7 @@ def _llt_column(mu, e, ctx):
     if not is_e_regular(mu, e):
         raise ValueError("llt_G requires an e-regular partition")
     n, lo = mu.size, -(mu.size + 2)
-    stack = [(mu, _crystal_column(mask_of(mu, lo), e, lo))]
+    stack = [(mu, _crystal_column(mask_of(mu, lo), e, lo, store))]
     col = None
     while stack:
         lam, frame = stack[-1]
@@ -108,12 +125,12 @@ def _llt_column(mu, e, ctx):
         if nu in cache:
             col = pack(cache[nu], lo)
         else:
-            stack.append((nu, _crystal_column(mask_of(nu, lo), e, lo)))
+            stack.append((nu, _crystal_column(mask_of(nu, lo), e, lo, store)))
             col = None
     return cache[mu]
 
 
-def _crystal_column(m, e, lo):
+def _crystal_column(m, e, lo, store):
     """G of the e-regular label with packed beta-set m over lo.
 
     A generator: it yields each label whose column it needs, is sent that
@@ -132,10 +149,25 @@ def _crystal_column(m, e, lo):
     The residue signatures are read once; moving residue-i beads from p to
     p - 1 changes only the slots p - 1, p and p + 1, so after a step only
     the residues i - 1, i and i + 1 are read again.
+
+    With a `ColumnStore`, the walk also stops at the first label whose
+    column is stored, and the climb starts from that column moved to lo.
+    After its corrections each climb step holds a bar-invariant vector in
+    t + sum qZ[q] nu, which is G(t); it is stored while the store holds
+    fewer than FACTS_MAXSIZE packed terms, and the last step's, the label's
+    own column, always is.  With store None nothing is looked up or kept.
     """
     steps = []
     sigs, stale, below = [None] * e, range(e), (1 << e) - 1
-    while m & ~((m << e) | below):  # not an e-core: a bead has a gap e below it
+    while True:
+        if store is not None:
+            hit = store.get(Abacus(e, lo, m))
+            if hit is not None:
+                v = _move(*hit, lo)
+                break
+        if not m & ~((m << e) | below):  # an e-core: no bead has a gap e below it
+            v = {m: {0: 1}}
+            break
         for r in stale:
             sigs[r] = _matched_signature(m, lo, e, r)[0]
         i = max(range(e), key=lambda r: len(sigs[r]))
@@ -146,7 +178,6 @@ def _crystal_column(m, e, lo):
         for b in normals:  # each bead one position down
             m ^= 3 << (b - lo - 1)
         stale = {(i - 1) % e, i, (i + 1) % e}
-    v = {m: {0: 1}}
     for t, i, k in reversed(steps):
         v = step_F(v, i, k, e, lo)
         guard = 0
@@ -165,6 +196,9 @@ def _crystal_column(m, e, lo):
                 raise AssertionError("LLT correction hit an e-singular label")
             alpha, _ = bar_symmetric_split(LaurentPoly(v[x]))
             _subtract_multiple(v, alpha, (yield nu))
+        if store is not None and (t == steps[0][0] or store.terms < FACTS_MAXSIZE):
+            store[Abacus(e, lo, t)] = v, lo
+            store.terms += len(v)
     return v
 
 

@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .abacus import FACTS_MAXSIZE, BlockId, block_of, core_of, enumerate_block, quotient_of
 from .beadops import MoveError, lambda_of_hook, move_along, move_one, mullineux_crystal
-from .canonical import InductiveEngine, _llt_column, llt_G, rouquier_column, rouquier_d
+from .canonical import ColumnStore, InductiveEngine, _llt_column, llt_G, rouquier_column, rouquier_d
 from .fock import FockVector
 from .labels import BlockContext, hat_z, hooks_e, is_m_increasing, lifted_json, modified_basis, z_label
 from .partitions import format_partition, parse_partition
@@ -23,11 +24,15 @@ def _vec(v):
     return "[" + ",".join(str(x) for x in v) + "]"
 
 
+def _say(text, stream=None):
+    """Write text and its newline in one call (stdout by default): print
+    writes them apart, and with PYTHONUNBUFFERED=1 each write is a system
+    call that wakes the reader."""
+    (stream or sys.stdout).write(text + "\n")
+
+
 def _emit(args, plain, payload):
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(plain)
+    _say(json.dumps(payload, sort_keys=True) if getattr(args, "json", False) else plain)
 
 
 def _parse_label(text):
@@ -67,9 +72,26 @@ def _dnum_line(line, e, method, engines, labels):
 
 
 def _dnum_one(lam, mu, e, method, engines):
+    """d_{lam,mu}(q) by method.  engines holds what one batch (at one e, by
+    one method) keeps: for each mu met, the function lam -> d_{lam,mu}(q)
+    (`_column_of`), and under tuple keys the block contexts, the inductive
+    engine and the LLT column store.  It is cleared when it holds
+    FACTS_MAXSIZE entries, so a long batch stays in bounded memory."""
+    answer = engines.get(mu)
+    if answer is None:
+        if len(engines) >= FACTS_MAXSIZE:
+            engines.clear()
+        answer = _column_of(mu, e, method, engines)
+        engines[mu] = answer
+    return answer(lam)
+
+
+def _column_of(mu, e, method, engines):
+    """The function lam -> d_{lam,mu}(q): mu passed its method's checks, and
+    its column is kept in its block's context."""
     if method == "closed":
         _closed_domain(mu, e)
-        return d_closed(lam, mu, e)
+        return partial(d_closed, mu=mu, e=e)
     if method not in ("llt", "rouquier", "inductive"):
         raise ValueError("unknown method %r" % method)
     b = block_of(mu, e)
@@ -77,9 +99,14 @@ def _dnum_one(lam, mu, e, method, engines):
     if ctx is None:
         ctx = engines[("ctx", b)] = BlockContext(b)
     if method == "llt":  # ctx is the context of mu's block
-        return _llt_column(mu, e, ctx).coeff(lam)
+        store = engines.get(("llt", e))
+        if store is None:
+            store = engines[("llt", e)] = ColumnStore()
+        return _llt_column(mu, e, ctx, store).coeff
     if method == "rouquier":
-        return rouquier_d(lam, mu, b, ctx)
+        # the column is built once; each line is still refused outside the block
+        rouquier_column(mu, b, ctx)
+        return partial(rouquier_d, mu=mu, b=b, ctx=ctx)
     # one engine per e; each column is unpacked once, into its block's context
     cache = ctx.cache("inductive")
     if mu not in cache:
@@ -87,7 +114,7 @@ def _dnum_one(lam, mu, e, method, engines):
         if eng is None:
             eng = engines[("ind", e)] = InductiveEngine(e)
         cache[mu] = eng.column(mu)
-    return cache[mu].coeff(lam)
+    return cache[mu].coeff
 
 
 def build_parser():
@@ -139,10 +166,10 @@ def run(argv):
     try:
         return _dispatch(args)
     except DOMAIN_ERRORS as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        _say("error: %s" % exc, sys.stderr)
         return 1
     except RecursionError as exc:
-        print("error: the query recursed too deep (%s)" % exc, file=sys.stderr)
+        _say("error: the query recursed too deep (%s)" % exc, sys.stderr)
         return 1
 
 
@@ -198,12 +225,12 @@ def _dispatch(args):
                 try:
                     val = _dnum_line(line, e, args.method, engines, labels)
                 except DOMAIN_ERRORS as exc:
-                    print(json.dumps({"error": str(exc)}) if args.json else "error")
-                    print("error: line %d: %s" % (n, exc), file=sys.stderr)
+                    _say(json.dumps({"error": str(exc)}) if args.json else "error")
+                    _say("error: line %d: %s" % (n, exc), sys.stderr)
                     code = 1
                     continue
                 # the JSON answer is built only when asked for: batches are long
-                print(json.dumps({"d": val.to_pairs()}) if args.json else val)
+                _say(json.dumps({"d": val.to_pairs()}) if args.json else str(val))
             return code
         val = _dnum_one(parse_partition(args.lam), parse_partition(args.mu), e, args.method, engines)
         _emit(args, str(val), {"d": val.to_pairs()})
@@ -234,16 +261,16 @@ def _dispatch(args):
                 }
             ],
         }
-        print(json.dumps(payload, sort_keys=True))
+        _say(json.dumps(payload, sort_keys=True))
         return 0
     if v == "block":
         b = BlockId(e, parse_partition(args.core), int(args.weight))
         members = enumerate_block(b)
         if args.json:
-            print(json.dumps({"block": b.to_json(), "partitions": [list(m.parts) for m in members]}, sort_keys=True))
+            _say(json.dumps({"block": b.to_json(), "partitions": [list(m.parts) for m in members]}, sort_keys=True))
         else:
             for m in members:
-                print(format_partition(m))
+                _say(format_partition(m))
         return 0
     if v == "tiling":
         b = BlockId(e, parse_partition(args.core), int(args.weight))

@@ -27,8 +27,12 @@ class FockVector:
             for lam, c in (terms.items() if isinstance(terms, dict) else terms):
                 c = LaurentPoly.of(c)
                 if c:
-                    d[lam] = d.get(lam, LaurentPoly.zero()) + c
-                    if not d[lam]:
+                    prev = d.get(lam)
+                    if prev is not None:
+                        c = prev + c
+                    if c:
+                        d[lam] = c
+                    else:
                         del d[lam]
         object.__setattr__(self, "terms", d)
 
@@ -65,7 +69,8 @@ class FockVector:
         return FockVector({lam: coef * c for lam, coef in self.terms.items()})
 
     def coeff(self, lam):
-        return self.terms.get(lam, LaurentPoly.zero())
+        c = self.terms.get(lam)
+        return LaurentPoly.zero() if c is None else c
 
     def support(self):
         return sorted(self.terms, reverse=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import combinations
 from math import isqrt
+from operator import add, sub
 
 from .abacus import abacus_of, enumerate_block, facts, partition_of, quotient_tuples
 
@@ -56,13 +57,15 @@ def _moved(lam, e):
     f = facts(lam, e)
     if f.movements is not None:
         return f
-    f.movements = mvs = abacus_movements(f.abacus.runner_slices(), e)
+    mvs = abacus_movements(f.abacus.runner_slices(), e)
+    runs = {}
+    for mv in mvs:  # one pass, grouped by runner
+        runs.setdefault(mv.q % e, []).append(mv)
     f.chains = {}
-    for runner in range(e):
-        idx = tuple(mv.index for mv in mvs if mv.q % e == runner)
-        if idx:
-            bottom = mvs[idx[-1] - 1].b
-            f.chains[runner] = (idx, next(s for s, i in enumerate(idx) if mvs[i - 1].b == bottom))
+    for runner in sorted(runs):
+        run, bottom = runs[runner], runs[runner][-1].b
+        f.chains[runner] = (tuple(mv.index for mv in run), next(s for s, mv in enumerate(run) if mv.b == bottom))
+    f.movements = mvs
     return f
 
 
@@ -116,7 +119,11 @@ def hooks_e(lam, e):
 
 def z_label(lam, e):
     """z(lam): armlengths of all bead movements, in movement order."""
-    f = _moved(lam, e)
+    return _z(_moved(lam, e))
+
+
+def _z(f):
+    """z of the partition whose record `_moved` filled as f, kept in f."""
     if f.z is None:
         f.z = abacus_z(f.abacus, f.movements)
     return f.z
@@ -127,12 +134,16 @@ def is_m_increasing(z, m):
     return all(z[i + 1] - z[i] >= m for i in range(len(z) - 1))
 
 
-def is_hook_quotient(lam, e):
-    """True iff every e-quotient component is a hook (x, 1^y)."""
-    f = facts(lam, e)
+def _hooks(f):
+    """The hook-quotient flag of the `facts` record f, kept in f."""
     if f.hook_quotient is None:
         f.hook_quotient = all(q.part(2) <= 1 for q in f.quotient)
     return f.hook_quotient
+
+
+def is_hook_quotient(lam, e):
+    """True iff every e-quotient component is a hook (x, 1^y)."""
+    return _hooks(facts(lam, e))
 
 
 def z_inverse(b, target, ctx=None):
@@ -156,11 +167,11 @@ def _unit(w, i):
 
 
 def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def modified_basis(lam, e):
@@ -172,7 +183,7 @@ def modified_basis(lam, e):
     f = _moved(lam, e)
     if f.modified is not None:
         return f.modified
-    if not is_hook_quotient(lam, e):
+    if not _hooks(f):
         raise ValueError("modified basis needs a hook-quotient partition")
     w = len(f.movements)
     eps = [None] * w
@@ -185,24 +196,6 @@ def modified_basis(lam, e):
                 eps[i - 1] = vec_sub(_unit(w, i), _unit(w, j))
     f.modified = tuple(eps)
     return f.modified
-
-
-def expand_in_basis(lam, e, vector):
-    """Integer coefficients of `vector` in the modified basis of lam.
-
-    The basis telescopes along each runner chain, so coefficients are
-    prefix / suffix sums; exactness is automatic.
-    """
-    f = _moved(lam, e)
-    coeffs = [0] * len(f.movements)
-    for idx, l in f.chains.values():
-        vals = [vector[i - 1] for i in idx]
-        for g in range(l):
-            coeffs[idx[g] - 1] = sum(vals[: g + 1])
-        coeffs[idx[l] - 1] = sum(vals)
-        for g in range(l + 1, len(idx)):
-            coeffs[idx[g] - 1] = sum(vals[g:])
-    return coeffs
 
 
 def succ_geq(lam, e, i, j):
@@ -273,20 +266,23 @@ def lifted_json(v):
 
 def hat_z(lam, e):
     """The lifted label zhat(lam), a lifted vector with p(zhat) = z."""
-    f = _moved(lam, e)
-    if f.hat_z is not None:
-        return f.hat_z
-    mvs = f.movements
-    diag = list(z_label(lam, e))
-    upper = []
-    for i, j in combinations(range(len(mvs)), 2):
-        qi, qj = mvs[i].q, mvs[j].q
-        c = qi > qj - e or (qi == qj - e and mvs[i].b == mvs[j].b)
-        if c:
-            diag[i] -= 1
-            diag[j] += 1
-        upper.append(int(c))
-    f.hat_z = tuple(diag) + tuple(upper)
+    return _hat(_moved(lam, e))
+
+
+def _hat(f):
+    """zhat of the partition whose record `_moved` filled as f, kept in f."""
+    if f.hat_z is None:
+        e, mvs = f.abacus.e, f.movements
+        diag = list(_z(f))
+        upper = []
+        for i, j in combinations(range(len(mvs)), 2):
+            qi, qj = mvs[i].q, mvs[j].q
+            c = qi > qj - e or (qi == qj - e and mvs[i].b == mvs[j].b)
+            if c:
+                diag[i] -= 1
+                diag[j] += 1
+            upper.append(int(c))
+        f.hat_z = tuple(diag) + tuple(upper)
     return f.hat_z
 
 

@@ -6,12 +6,15 @@ import json
 from collections import namedtuple
 from functools import reduce
 from itertools import combinations
-from operator import and_, or_
+from operator import and_, or_, sub
 
-from .abacus import block_of, facts
+from .abacus import facts
 from .labels import (
     BlockContext,
-    expand_in_basis,
+    _hat,
+    _hooks,
+    _moved,
+    _z,
     hat_z,
     is_hook_quotient,
     is_m_increasing,
@@ -60,17 +63,47 @@ def pi_membership(lam, target, e):
 
     When non-null, the box distance d_lambda(target) equals |Gamma|.
     """
-    if not is_hook_quotient(lam, e):
+    f = _moved(lam, e)
+    if not _hooks(f):
         raise ValueError("pi_membership requires a hook-quotient partition")
     target = tuple(target)
-    z = z_label(lam, e)
-    if len(target) != len(z):
+    if len(target) != len(f.movements):
         raise ValueError("label length mismatch")
-    diff = tuple(t - a for t, a in zip(target, z))
-    coeffs = expand_in_basis(lam, e, diff)
-    if any(c not in (0, 1) for c in coeffs):
-        return None
-    return frozenset(i + 1 for i, c in enumerate(coeffs) if c)
+    return _gamma(f, target)
+
+
+def _gamma(f, target):
+    """The Pi route on records: Gamma with target = z + eps_Gamma for the
+    hook-quotient partition whose record `labels._moved` filled as f, or
+    None.
+
+    The modified basis telescopes along each runner chain (idx, l), so the
+    coefficient of eps at idx[g] in a vector is its sum over idx[:g + 1]
+    before the pivot l, over idx[g:] after it, and over all of idx at it.
+    The first coefficient outside {0, 1} answers None.
+    """
+    diff = tuple(map(sub, target, _z(f)))
+    gamma = []
+    for idx, l in f.chains.values():
+        head = tail = 0
+        for i in idx[:l]:
+            head += diff[i - 1]
+            if head == 1:
+                gamma.append(i)
+            elif head:
+                return None
+        for i in idx[:l:-1]:
+            tail += diff[i - 1]
+            if tail == 1:
+                gamma.append(i)
+            elif tail:
+                return None
+        c = head + diff[idx[l] - 1] + tail
+        if c == 1:
+            gamma.append(idx[l])
+        elif c:
+            return None
+    return frozenset(gamma)
 
 
 def _cube_signs(lam, e):
@@ -88,44 +121,36 @@ def _cube_signs(lam, e):
     return f.cube_signs
 
 
-def _cube_value(lam, mu, e):
-    """The hypercube route: q^|zhat(mu) - zhat(lam)| when zhat(mu) is a
-    vertex of C(lam), else 0.
-
-    Every generator of C(lam) is one signed unit vector, and no two share a
-    coordinate.  So zhat(mu) is a vertex exactly when every nonzero
-    coordinate of zhat(mu) - zhat(lam) is that of a generator, with its
-    sign, and the box distance is the number of such coordinates.
-    """
-    sign = _cube_signs(lam, e)
-    d = vec_sub(hat_z(mu, e), hat_z(lam, e))
-    if all(sign.get(k) == c for k, c in enumerate(d) if c):
-        return LaurentPoly.monomial(sum(1 for c in d if c))
-    return LaurentPoly.zero()
-
-
-def _pi_route(lam, mu, e):
-    """The parallelotope route for hook-quotient lam in the block of mu:
-    q^|Gamma| when z(mu) = z(lam) + eps_Gamma, else 0."""
-    gamma = pi_membership(lam, z_label(mu, e), e)
-    return LaurentPoly.zero() if gamma is None else LaurentPoly.monomial(len(gamma))
-
-
 def d_closed(lam, mu, e):
     """q^{d_lambda(mu)} if lam is hook-quotient and z(mu) in Pi(lam), else 0.
 
     Valid as a q-decomposition number when mu is 4-increasing, in which case
     the parallelotope and hypercube routes provably agree; only there is the
     hypercube route run, and the agreement asserted.
+
+    Each partition's `facts` record is read once.  The parallelotope route
+    expands z(mu) - z(lam) in lam's modified basis along its runner chains
+    (`_gamma`).  The hypercube route tests coordinates: every generator of
+    C(lam) is one signed unit vector, and no two share a coordinate
+    (`_cube_signs`, built once per lam), so zhat(mu) is a vertex of C(lam)
+    exactly when every nonzero coordinate of zhat(mu) - zhat(lam) is that
+    of a generator, with its sign, and the box distance is the number of
+    such coordinates.  The 2^w vertices are never listed.
     """
-    if block_of(lam, e) != block_of(mu, e) or not is_hook_quotient(lam, e):
+    fl, fm = _moved(lam, e), _moved(mu, e)
+    if fl.core != fm.core or fl.weight != fm.weight or not _hooks(fl):
         return LaurentPoly.zero()
-    value = _pi_route(lam, mu, e)
-    if is_m_increasing(z_label(mu, e), 4) and _cube_value(lam, mu, e) != value:
-        raise AssertionError(
-            "parallelotope and hypercube routes disagree on a 4-increasing column"
-        )
-    return value
+    zm = _z(fm)
+    gamma = _gamma(fl, zm)
+    dist = None if gamma is None else len(gamma)
+    if is_m_increasing(zm, 4):
+        sign = fl.cube_signs or _cube_signs(lam, e)
+        d = [(k, c) for k, c in enumerate(vec_sub(_hat(fm), _hat(fl))) if c]
+        if (len(d) if all(sign.get(k) == c for k, c in d) else None) != dist:
+            raise AssertionError(
+                "parallelotope and hypercube routes disagree on a 4-increasing column"
+            )
+    return LaurentPoly.zero() if dist is None else LaurentPoly.monomial(dist)
 
 
 class Tiling(namedtuple("Tiling", "block cells")):

@@ -1,6 +1,8 @@
 import ast
 import hashlib
 import inspect
+import io
+import sys
 import tracemalloc
 from collections import Counter
 from functools import lru_cache
@@ -12,9 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import focktiles
-from focktiles import canonical, polytope
-from focktiles.partitions import EMPTY, Partition, all_partitions, conjugate, dominance_leq, is_e_regular, parse_partition
+from focktiles import canonical, cli, polytope
+from focktiles.partitions import (
+    EMPTY, Partition, all_partitions, conjugate, dominance_leq, format_partition, is_e_regular, parse_partition,
+)
 from focktiles.abacus import (
+    FACTS_MAXSIZE,
     Abacus,
     BlockId,
     _from_tops,
@@ -53,7 +58,7 @@ from focktiles.fock import FockVector, apply_E, apply_F, removable_beads, step_E
 from focktiles.labels import BlockContext, is_m_increasing, z_label
 from focktiles.laurent import LaurentPoly, bar_symmetric_split
 from focktiles.polytope import d_closed, parallelotope_of
-from focktiles.verify import ac3_blocks, rouquier_block
+from focktiles.verify import ac2_blocks, ac3_blocks, rouquier_block
 
 
 q = LaurentPoly.monomial
@@ -284,7 +289,7 @@ def test_walk_keeps_every_residue_signature_fresh(label):
     with mock.patch.object(canonical, "_matched_signature", record), \
             mock.patch.object(canonical, "step_F", _stop_at_climb):
         try:
-            next(canonical._crystal_column(mask_of(mu, lo), e, lo))
+            next(canonical._crystal_column(mask_of(mu, lo), e, lo, None))
             raise AssertionError("the walk asked for a correction")
         except StopIteration as done:  # mu is an e-core
             start = done.value
@@ -307,9 +312,11 @@ def test_walk_keeps_every_residue_signature_fresh(label):
     assert reads[:1] in ([], [e]) and all(k <= 3 for k in reads[1:])
 
 
-def _crystal_column_to_empty(m, e, lo):
+def _crystal_column_to_empty(m, e, lo, store):
     """The LLT column generator that walks down to the empty label and reads
-    all e signatures at every step: the reference for `_crystal_column`."""
+    all e signatures at every step: the reference for `_crystal_column`,
+    which `llt_G` calls with no column store."""
+    assert store is None
     steps = []
     while _removable(m):
         normals, i = max(((_matched_signature(m, lo, e, i)[0], i) for i in range(e)),
@@ -383,6 +390,113 @@ def test_llt_context_keeps_only_its_block_columns():
     cols = ctx.cache("llt")
     assert cols and set(cols) <= members
     assert all(type(col) is FockVector and set(col.terms) <= members for col in cols.values())
+
+
+def _walk_labels(mu, e, lo, store):
+    """The masks at which the walk from mu reads residue signatures, in
+    order, and the vector the climb starts from."""
+    log = []
+
+    def record(m, at, e_, i):
+        log.append(m)
+        return _matched_signature(m, at, e_, i)
+
+    with mock.patch.object(canonical, "_matched_signature", record), \
+            mock.patch.object(canonical, "step_F", _stop_at_climb):
+        try:
+            next(canonical._crystal_column(mask_of(mu, lo), e, lo, store))
+            raise AssertionError("the walk asked for a correction")
+        except _Climb as climb:
+            return list(dict.fromkeys(log)), climb.args[0]
+
+
+def test_walk_stops_at_a_stored_label():
+    e, mu = 3, P("7,5,4,2,2,1")
+    lo = -(mu.size + 2)
+    walk, _ = _walk_labels(mu, e, lo, None)
+    assert len(walk) >= 3
+    # G of the walk's third label, built in its own call over its own offset
+    nu = partition_of_mask(walk[2])
+    built = canonical.ColumnStore()
+    canonical._llt_column(nu, e, BlockContext(block_of(nu, e)), built)
+    key = Abacus(e, lo, walk[2])
+    nu_col, nu_lo = built[key]
+    assert nu_lo != lo and key in built
+    store = canonical.ColumnStore()
+    store[key] = built[key]
+    # the walk reads no signature at or below the stored label, and the
+    # climb starts from its column moved to the walk's offset
+    stopped, start = _walk_labels(mu, e, lo, store)
+    assert stopped == walk[:2] and start == canonical._move(nu_col, nu_lo, lo)
+    ctx = BlockContext(block_of(mu, e))
+    assert canonical._llt_column(mu, e, ctx, store) == llt_G(mu, e)
+
+
+def _llt_batch_lines(e):
+    """Every (lambda, mu) pair, mu e-regular, of the AC-2 blocks at e, as
+    `dnum` stdin lines, and the pairs."""
+    pairs = []
+    for b in ac2_blocks():
+        if b.e == e:
+            members = BlockContext(b).members()
+            pairs += [(lam, mu) for mu in members if is_e_regular(mu, e) for lam in members]
+    return ["%s;%s" % (format_partition(lam), format_partition(mu)) for lam, mu in pairs], pairs
+
+
+def _run_llt_batch(lines, e, monkeypatch):
+    """stdout of a `dnum --method llt` batch, its stores, and its step_F
+    calls; each store records how often each key was set."""
+    stores, calls = [], Counter()
+
+    class Counted(canonical.ColumnStore):
+        def __init__(self):
+            super().__init__()
+            self.sets = Counter()
+            stores.append(self)
+
+        def __setitem__(self, key, value):
+            self.sets[key] += 1
+            super().__setitem__(key, value)
+
+    real = canonical.step_F
+    monkeypatch.setattr(canonical, "step_F", lambda *a: calls.update(["step_F"]) or real(*a))
+    monkeypatch.setattr(cli, "ColumnStore", Counted)
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO("\n".join(lines) + "\n")), \
+            mock.patch.object(sys, "stdout", out):
+        assert cli.run(["dnum", "--e", str(e), "--method", "llt"]) == 0
+    monkeypatch.undo()
+    return out.getvalue().splitlines(), stores, calls["step_F"]
+
+
+def test_llt_batch_builds_each_column_once(monkeypatch):
+    # the 14,084 pairs of the 28 e = 4 AC-2 blocks (the llt slice of the
+    # dnum benchmark); without a store, llt_G took 3,707 step_F calls on them
+    e = 4
+    lines, pairs = _llt_batch_lines(e)
+    assert len(lines) == 14084
+    out, stores, steps = _run_llt_batch(lines, e, monkeypatch)
+    (store,) = stores
+    # every climb step stores its G(t), and no label's column is built twice
+    assert steps == len(store) == sum(store.sets.values()) == 531
+    assert set(store.sets.values()) == {1} and store.terms < FACTS_MAXSIZE
+    cols = {}
+    for mu in dict.fromkeys(mu for _, mu in pairs):
+        cols[mu] = llt_G(mu, e)
+    assert out == [str(cols[mu].coeff(lam)) for lam, mu in pairs]
+
+
+def test_llt_store_keeps_only_completed_columns_past_its_bound(monkeypatch):
+    # at a bound of 0 terms no intermediate G(t) is kept: only the columns
+    # the recursion completes, mu's and each correction's
+    e = 4
+    lines, _ = _llt_batch_lines(e)
+    lines = lines[::7]
+    want, _, bounded = _run_llt_batch(lines, e, monkeypatch)
+    monkeypatch.setattr(canonical, "FACTS_MAXSIZE", 0)
+    out, (store,), steps = _run_llt_batch(lines, e, monkeypatch)
+    assert out == want and set(store.sets.values()) == {1}
+    assert len(store) < bounded < steps
 
 
 def test_lr_coefficient():

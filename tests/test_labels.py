@@ -8,6 +8,7 @@ from focktiles.partitions import EMPTY, Partition, all_partitions, parse_partiti
 from focktiles.abacus import BlockId, abacus_of, enumerate_block, partition_of, weyl_s
 from focktiles.labels import (
     BlockContext,
+    _moved,
     hat_z,
     is_hook_quotient,
     is_m_increasing,
@@ -336,3 +337,27 @@ def test_bead_movement_bijection_shifts():
                             assert q1 in (q0, q0 + 1)
                         else:
                             assert q1 == q0
+
+
+def _chains_reference(mvs, e):
+    """The runner chains built with one scan of all movements per runner."""
+    chains = {}
+    for runner in range(e):
+        idx = tuple(mv.index for mv in mvs if mv.q % e == runner)
+        if idx:
+            bottom = mvs[idx[-1] - 1].b
+            chains[runner] = (idx, next(s for s, i in enumerate(idx) if mvs[i - 1].b == bottom))
+    return chains
+
+
+def test_runner_chains_match_the_per_runner_scan():
+    # one pass groups the movements by runner; chains, their order and
+    # their pivots are those of the O(e w) scan
+    seen = 0
+    for n in range(13):
+        for lam in all_partitions(n):
+            for e in range(2, 8):
+                f = _moved(lam, e)
+                assert list(f.chains.items()) == list(_chains_reference(f.movements, e).items()), (lam, e)
+                seen += len(f.chains) > 1
+    assert seen > 0

@@ -8,7 +8,7 @@ import pytest
 from focktiles.partitions import EMPTY, parse_partition
 from focktiles import polytope
 from focktiles.abacus import BlockId, block_of, facts
-from focktiles.labels import BlockContext, is_m_increasing, project, z_label
+from focktiles.labels import BlockContext, hat_z, is_hook_quotient, is_m_increasing, project, vec_sub, z_label
 from focktiles.laurent import LaurentPoly
 from focktiles.polytope import (
     Parallelotope,
@@ -16,8 +16,6 @@ from focktiles.polytope import (
     check_common_faces,
     check_cube_injectivity,
     check_discrete_union,
-    _cube_value,
-    _pi_route,
     d_closed,
     export_tiling,
     ext_adjacency,
@@ -32,6 +30,44 @@ from focktiles.verify import ac3_blocks
 
 q = LaurentPoly.monomial
 P = parse_partition
+
+
+# -- the two closed routes, pair by pair: the reference for `d_closed` --------
+
+
+def _cube_value(lam, mu, e):
+    """The hypercube route: q^|zhat(mu) - zhat(lam)| when zhat(mu) is a
+    vertex of C(lam), else 0.
+
+    Every generator of C(lam) is one signed unit vector, and no two share a
+    coordinate.  So zhat(mu) is a vertex exactly when every nonzero
+    coordinate of zhat(mu) - zhat(lam) is that of a generator, with its
+    sign, and the box distance is the number of such coordinates.
+    """
+    sign = polytope._cube_signs(lam, e)
+    d = vec_sub(hat_z(mu, e), hat_z(lam, e))
+    if all(sign.get(k) == c for k, c in enumerate(d) if c):
+        return q(sum(1 for c in d if c))
+    return LaurentPoly.zero()
+
+
+def _pi_route(lam, mu, e):
+    """The parallelotope route for hook-quotient lam in the block of mu:
+    q^|Gamma| when z(mu) = z(lam) + eps_Gamma, else 0."""
+    gamma = pi_membership(lam, z_label(mu, e), e)
+    return LaurentPoly.zero() if gamma is None else q(len(gamma))
+
+
+def _d_closed_reference(lam, mu, e):
+    """d_closed pair by pair through the public lookups: 0 off mu's block
+    or for lam not hook-quotient, else the parallelotope route, which the
+    hypercube route must equal when mu is 4-increasing."""
+    if block_of(lam, e) != block_of(mu, e) or not is_hook_quotient(lam, e):
+        return LaurentPoly.zero()
+    value = _pi_route(lam, mu, e)
+    if is_m_increasing(z_label(mu, e), 4):
+        assert _cube_value(lam, mu, e) == value, (lam, mu, e)
+    return value
 
 
 def test_pi_membership_examples():
@@ -316,3 +352,54 @@ def test_d_closed_at_high_weight():
         tracemalloc.stop()
     assert value == q(len(gamma))
     assert elapsed < 1.0 and peak < 50 * 2**20
+
+
+def test_d_closed_equals_the_two_route_reference():
+    # every pair of each block, and each member against a partition of
+    # another block; the reference reads every fact through its own lookup
+    pairs = four = 0
+    for b in ac3_blocks() + [BlockId(12, EMPTY, 3)]:
+        ctx = BlockContext(b)
+        e, members = b.e, ctx.members()
+        other = P("1") if b.core != P("1") else P("2")
+        for mu in members:
+            four += is_m_increasing(ctx.z_map()[mu], 4)
+            for lam in members:
+                assert d_closed(lam, mu, e) == _d_closed_reference(lam, mu, e), (lam, mu, b)
+            assert d_closed(other, mu, e) == d_closed(mu, other, e) == LaurentPoly.zero()
+            pairs += len(members)
+    assert pairs == 1158610 and four > 0
+
+
+def test_d_closed_compares_the_routes_on_every_four_increasing_pair(monkeypatch):
+    # with every generator of C(lam) negated (still distinct signed units),
+    # the hypercube route misses each vertex zhat(mu) != zhat(lam), so
+    # d_closed must refuse every such pair whose mu is 4-increasing, and
+    # answer the parallelotope route on the others
+    real = polytope.hypercube_of
+
+    def negated(lam, e):
+        cube = real(lam, e)
+        return Parallelotope(cube.anchor, tuple(tuple(-c for c in g) for g in cube.generators))
+
+    b = BlockId(12, EMPTY, 3)
+    ctx = BlockContext(b)
+    e = b.e
+    refused = answered = 0
+    facts.cache_clear()
+    monkeypatch.setattr(polytope, "hypercube_of", negated)
+    try:
+        for mu in ctx.members():
+            four = is_m_increasing(ctx.z_map()[mu], 4)
+            for lam in ctx.members():
+                gamma = pi_membership(lam, ctx.z_map()[mu], e) if is_hook_quotient(lam, e) else None
+                if four and gamma:
+                    with pytest.raises(AssertionError, match="routes disagree"):
+                        d_closed(lam, mu, e)
+                    refused += 1
+                elif gamma is not None:
+                    assert d_closed(lam, mu, e) == q(len(gamma))
+                    answered += 1
+    finally:
+        facts.cache_clear()  # no record keeps a negated sign map
+    assert refused > 0 and answered > refused
