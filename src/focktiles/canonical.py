@@ -74,17 +74,23 @@ def ladder_monomial(mu, e):
 
 def llt_G(mu, e, ctx=None):
     """Canonical basis vector G(mu) for e-regular mu, by the crystal
-    recursion of the LLT algorithm; ctx, when given, must be the context
-    of mu's block."""
-    return _llt_column(mu, e, BlockContext.of(block_of(mu, e), ctx), None)
+    recursion of the LLT algorithm (`llt_column`); ctx, when given, must be
+    the context of mu's block.  The context keeps one `ColumnStore`, made
+    on first use, so later columns of the block stop their walks at the
+    columns already stored."""
+    caches = BlockContext.of(block_of(mu, e), ctx).caches
+    if "llt" not in caches:
+        caches["llt"] = ColumnStore()
+    return llt_column(mu, e, caches["llt"])
 
 
 class ColumnStore(dict):
-    """LLT columns kept across `_llt_column` calls at one e: the `Abacus`
+    """LLT columns kept across `llt_column` calls at one e: the `Abacus`
     of a label, which holds the offset-free (base, mask) of its beta-set,
     -> (G of the label packed over lo, lo).  terms counts the packed terms
     held; past FACTS_MAXSIZE of them only completed columns are added.
-    Stored columns are read, never changed in place."""
+    Stored columns are read, never changed in place.  A `dnum --method
+    llt` batch keeps one per e, and `llt_G` one per block context."""
 
     __slots__ = ("terms",)
 
@@ -93,41 +99,30 @@ class ColumnStore(dict):
         self.terms = 0
 
 
-def _llt_column(mu, e, ctx, store):
-    """G(mu) by the crystal recursion, on packed terms over one offset; ctx
-    must be the context of mu's block, which this does not check, and store
-    a `ColumnStore` of e, or None to keep nothing past this call.
+def llt_column(mu, e, store):
+    """G(mu) by the crystal recursion, on packed terms over one offset,
+    reading and filling store, a `ColumnStore` of e.
 
     Each column is built by a `_crystal_column` generator, which asks for
     the columns of its corrections; a stack of generators answers them, so
-    nothing recurses.  The columns of ctx's block (the labels with |mu|
-    nodes) are unpacked once and stored in ctx; the others lie in smaller
-    blocks and, with no store, are dropped after use.
+    nothing recurses.  A correction already stored is answered by its
+    generator's first store lookup.  Only mu's own column is unpacked.
     """
-    cache = ctx.cache("llt")
-    if mu in cache:
-        return cache[mu]
     if not is_e_regular(mu, e):
         raise ValueError("llt_G requires an e-regular partition")
-    n, lo = mu.size, -(mu.size + 2)
-    stack = [(mu, _crystal_column(mask_of(mu, lo), e, lo, store))]
+    lo = -(mu.size + 2)
+    stack = [_crystal_column(mask_of(mu, lo), e, lo, store)]
     col = None
     while stack:
-        lam, frame = stack[-1]
         try:
-            nu = frame.send(col)
+            nu = stack[-1].send(col)
         except StopIteration as done:
             stack.pop()
             col = done.value
-            if lam.size == n:
-                cache[lam] = unpack(col)
             continue
-        if nu in cache:
-            col = pack(cache[nu], lo)
-        else:
-            stack.append((nu, _crystal_column(mask_of(nu, lo), e, lo, store)))
-            col = None
-    return cache[mu]
+        stack.append(_crystal_column(mask_of(nu, lo), e, lo, store))
+        col = None
+    return unpack(col)
 
 
 def _crystal_column(m, e, lo, store):
@@ -150,23 +145,23 @@ def _crystal_column(m, e, lo, store):
     p - 1 changes only the slots p - 1, p and p + 1, so after a step only
     the residues i - 1, i and i + 1 are read again.
 
-    With a `ColumnStore`, the walk also stops at the first label whose
-    column is stored, and the climb starts from that column moved to lo.
+    The walk also stops at the first label whose column is in store, a
+    `ColumnStore` of e, and the climb starts from that column moved to lo.
     After its corrections each climb step holds a bar-invariant vector in
     t + sum qZ[q] nu, which is G(t); it is stored while the store holds
     fewer than FACTS_MAXSIZE packed terms, and the last step's, the label's
-    own column, always is.  With store None nothing is looked up or kept.
+    own column, always is.
     """
     steps = []
     sigs, stale, below = [None] * e, range(e), (1 << e) - 1
     while True:
-        if store is not None:
-            hit = store.get(Abacus(e, lo, m))
-            if hit is not None:
-                v = _move(*hit, lo)
-                break
         if not m & ~((m << e) | below):  # an e-core: no bead has a gap e below it
             v = {m: {0: 1}}
+            break
+        key = Abacus(e, lo, m)
+        hit = store.get(key)
+        if hit is not None:
+            v = _move(*hit, lo)
             break
         for r in stale:
             sigs[r] = _matched_signature(m, lo, e, r)[0]
@@ -174,11 +169,11 @@ def _crystal_column(m, e, lo, store):
         normals = sigs[i]
         if not normals:
             raise AssertionError("an e-regular label that is not an e-core has no normal bead")
-        steps.append((m, i, len(normals)))
+        steps.append((m, key, i, len(normals)))
         for b in normals:  # each bead one position down
             m ^= 3 << (b - lo - 1)
         stale = {(i - 1) % e, i, (i + 1) % e}
-    for t, i, k in reversed(steps):
+    for t, key, i, k in reversed(steps):
         v = step_F(v, i, k, e, lo)
         guard = 0
         while True:
@@ -196,8 +191,8 @@ def _crystal_column(m, e, lo, store):
                 raise AssertionError("LLT correction hit an e-singular label")
             alpha, _ = bar_symmetric_split(LaurentPoly(v[x]))
             _subtract_multiple(v, alpha, (yield nu))
-        if store is not None and (t == steps[0][0] or store.terms < FACTS_MAXSIZE):
-            store[Abacus(e, lo, t)] = v, lo
+        if t == steps[0][0] or store.terms < FACTS_MAXSIZE:
+            store[key] = v, lo
             store.terms += len(v)
     return v
 
@@ -314,8 +309,16 @@ def _rouquier_terms(qm, w):
     nonnegative.  The chains are generated runner by runner: alpha_j lies
     inside qm_j, beta_j runs over the constituents of the skew qm_j /
     alpha_j, and ql_j over those of beta_j alpha_{j+1}'.  A state maps
-    (alpha_j, ql_0 .. ql_{j-1}) to the summed products so far.
+    (alpha_j, ql_0 .. ql_{j-1}) to the summed products so far.  Chains
+    share their coefficients, so each (rho, sigma, tau) is counted once.
     """
+    lr = {}
+
+    def c(*key):  # (rho, sigma, tau)
+        if key not in lr:
+            lr[key] = lr_coefficient(*key)
+        return lr[key]
+
     e = len(qm)
     parts_of = [all_partitions(n) for n in range(w + 1)]
     inside = [[a for n in range(q.size + 1) for a in parts_of[n] if q.contains(a)] for q in qm]
@@ -325,13 +328,13 @@ def _rouquier_terms(qm, w):
         nxt = {}
         for (alpha, head), val in states.items():
             for beta in parts_of[qm[j].size - alpha.size]:
-                c1 = lr_coefficient(qm[j], alpha, beta)
+                c1 = c(qm[j], alpha, beta)
                 if not c1:
                     continue
                 for alpha_next in ahead:
                     gamma = conjugate(alpha_next)
                     for ql in parts_of[beta.size + gamma.size]:
-                        c2 = lr_coefficient(ql, beta, gamma)
+                        c2 = c(ql, beta, gamma)
                         if c2:
                             key = (alpha_next, head + (ql,))
                             nxt[key] = nxt.get(key, 0) + val * c1 * c2

@@ -9,7 +9,7 @@ from functools import partial
 
 from .abacus import FACTS_MAXSIZE, BlockId, block_of, core_of, enumerate_block, quotient_of
 from .beadops import MoveError, lambda_of_hook, move_along, move_one, mullineux_crystal
-from .canonical import ColumnStore, InductiveEngine, _llt_column, llt_G, rouquier_column, rouquier_d
+from .canonical import ColumnStore, InductiveEngine, llt_column, llt_G, rouquier_column, rouquier_d
 from .fock import FockVector
 from .labels import BlockContext, hat_z, hooks_e, is_m_increasing, lifted_json, modified_basis, z_label
 from .partitions import format_partition, parse_partition
@@ -74,9 +74,9 @@ def _dnum_line(line, e, method, engines, labels):
 def _dnum_one(lam, mu, e, method, engines):
     """d_{lam,mu}(q) by method.  engines holds what one batch (at one e, by
     one method) keeps: for each mu met, the function lam -> d_{lam,mu}(q)
-    (`_column_of`), and under tuple keys the block contexts, the inductive
-    engine and the LLT column store.  It is cleared when it holds
-    FACTS_MAXSIZE entries, so a long batch stays in bounded memory."""
+    (`_column_of`), and under tuple keys the LLT column store, the
+    inductive engine or the Rouquier block contexts.  It is cleared when it
+    holds FACTS_MAXSIZE entries, so a long batch stays in bounded memory."""
     answer = engines.get(mu)
     if answer is None:
         if len(engines) >= FACTS_MAXSIZE:
@@ -86,35 +86,31 @@ def _dnum_one(lam, mu, e, method, engines):
     return answer(lam)
 
 
+def _kept(engines, key, make):
+    """engines[key], made by make() when the batch has none."""
+    got = engines.get(key)
+    if got is None:
+        got = engines[key] = make()
+    return got
+
+
 def _column_of(mu, e, method, engines):
-    """The function lam -> d_{lam,mu}(q): mu passed its method's checks, and
-    its column is kept in its block's context."""
+    """The function lam -> d_{lam,mu}(q), once mu passed its method's
+    checks and its column is built."""
     if method == "closed":
         _closed_domain(mu, e)
         return partial(d_closed, mu=mu, e=e)
-    if method not in ("llt", "rouquier", "inductive"):
-        raise ValueError("unknown method %r" % method)
-    b = block_of(mu, e)
-    ctx = engines.get(("ctx", b))
-    if ctx is None:
-        ctx = engines[("ctx", b)] = BlockContext(b)
-    if method == "llt":  # ctx is the context of mu's block
-        store = engines.get(("llt", e))
-        if store is None:
-            store = engines[("llt", e)] = ColumnStore()
-        return _llt_column(mu, e, ctx, store).coeff
+    if method == "llt":
+        return llt_column(mu, e, _kept(engines, ("llt", e), ColumnStore)).coeff
+    if method == "inductive":
+        return _kept(engines, ("ind", e), partial(InductiveEngine, e)).column(mu).coeff
     if method == "rouquier":
+        b = block_of(mu, e)
+        ctx = _kept(engines, ("ctx", b), partial(BlockContext, b))
         # the column is built once; each line is still refused outside the block
         rouquier_column(mu, b, ctx)
         return partial(rouquier_d, mu=mu, b=b, ctx=ctx)
-    # one engine per e; each column is unpacked once, into its block's context
-    cache = ctx.cache("inductive")
-    if mu not in cache:
-        eng = engines.get(("ind", e))
-        if eng is None:
-            eng = engines[("ind", e)] = InductiveEngine(e)
-        cache[mu] = eng.column(mu)
-    return cache[mu].coeff
+    raise ValueError("unknown method %r" % method)
 
 
 def build_parser():

@@ -247,7 +247,7 @@ def _route_names(root):
 
 def test_llt_route_is_independent_of_the_other_routes():
     fns, names = _route_names("llt_G")
-    assert {"_llt_column", "_crystal_column"} <= fns
+    assert {"llt_column", "_crystal_column"} <= fns
     polytope_names = {n for n, v in vars(polytope).items() if getattr(v, "__module__", None) == polytope.__name__}
     assert not names & (polytope_names | {"polytope"})
     assert not [n for n in names if n.startswith("rouquier_")]
@@ -289,7 +289,7 @@ def test_walk_keeps_every_residue_signature_fresh(label):
     with mock.patch.object(canonical, "_matched_signature", record), \
             mock.patch.object(canonical, "step_F", _stop_at_climb):
         try:
-            next(canonical._crystal_column(mask_of(mu, lo), e, lo, None))
+            next(canonical._crystal_column(mask_of(mu, lo), e, lo, canonical.ColumnStore()))
             raise AssertionError("the walk asked for a correction")
         except StopIteration as done:  # mu is an e-core
             start = done.value
@@ -314,9 +314,12 @@ def test_walk_keeps_every_residue_signature_fresh(label):
 
 def _crystal_column_to_empty(m, e, lo, store):
     """The LLT column generator that walks down to the empty label and reads
-    all e signatures at every step: the reference for `_crystal_column`,
-    which `llt_G` calls with no column store."""
-    assert store is None
+    all e signatures at every step: the reference for `_crystal_column`.
+    It looks up and stores only its own label's completed column, so each
+    column is still built once per store."""
+    key = Abacus(e, lo, m)
+    if key in store:
+        return canonical._move(*store[key], lo)
     steps = []
     while _removable(m):
         normals, i = max(((_matched_signature(m, lo, e, i)[0], i) for i in range(e)),
@@ -336,6 +339,7 @@ def _crystal_column_to_empty(m, e, lo, store):
             assert x != t
             alpha, _ = bar_symmetric_split(LaurentPoly(v[x]))
             canonical._subtract_multiple(v, alpha, (yield partition_of_mask(x)))
+    store[key] = v, lo
     return v
 
 
@@ -366,30 +370,42 @@ def test_llt_matches_the_walk_to_empty(monkeypatch):
 def test_llt_walk_counts_on_the_rouquier_blocks(monkeypatch):
     # walking to the empty label and reading all e signatures per step took
     # 5,895 step_F and 33,919 _matched_signature calls on these blocks; 2,923
-    # of those climb steps sit at e-core labels
+    # of those climb steps sit at e-core labels.  A walk that stored nothing
+    # took 2,972 and 9,308; with one store per context later columns stop at
+    # stored ones: 2,470 and 7,676
     calls = Counter()
     for name in ("step_F", "_matched_signature"):
         real = getattr(canonical, name)
         monkeypatch.setattr(canonical, name, lambda *a, _f=real, _n=name: calls.update([_n]) or _f(*a))
     _llt_rouquier_columns()
-    assert 0 < calls["step_F"] <= 3000 and 0 < calls["_matched_signature"] <= 10000
+    assert 0 < calls["step_F"] <= 2500 and 0 < calls["_matched_signature"] <= 7700
 
 
-def test_llt_context_keeps_only_its_block_columns():
-    # no memo of the intermediate G(t) of a walk: one kept per context cut
-    # step_F calls on the llt_rouquier blocks from 5,895 to 3,155, but raised
-    # AC-4's peak RSS from 29 MB to 300 MB (the (8,4) block alone held 50,173
-    # columns with 498k terms) and made AC-4 no faster
+def test_llt_context_keeps_one_store(monkeypatch):
+    # a context holds one ColumnStore and nothing else for LLT; at a bound
+    # of 0 terms it keeps only completed columns, mu's and each correction's
     e = 6
     ctx = BlockContext(rouquier_block(e, 4))
-    members = set(ctx.members())
-    for mu in ctx.members():
-        if is_m_increasing(ctx.z_map()[mu], 0) and is_e_regular(mu, e):
-            llt_G(mu, e, ctx)
-    assert set(ctx.caches) == {"llt"}
-    cols = ctx.cache("llt")
-    assert cols and set(cols) <= members
-    assert all(type(col) is FockVector and set(col.terms) <= members for col in cols.values())
+    mus = [mu for mu in ctx.members() if is_m_increasing(ctx.z_map()[mu], 0) and is_e_regular(mu, e)]
+    for mu in mus[:8]:
+        llt_G(mu, e, ctx)
+    (store,) = ctx.caches.values()
+    assert type(store) is canonical.ColumnStore and len(store) > 8
+    built, real = [], canonical._crystal_column
+
+    def record(m, e_, lo, store_):
+        built.append(Abacus(e_, lo, m))
+        return real(m, e_, lo, store_)
+
+    monkeypatch.setattr(canonical, "FACTS_MAXSIZE", 0)
+    monkeypatch.setattr(canonical, "_crystal_column", record)
+    ctx = BlockContext(rouquier_block(e, 4))
+    for mu in mus[:8]:
+        assert llt_G(mu, e, ctx) == rouquier_column(mu, ctx.block)
+    (store,) = ctx.caches.values()
+    assert type(store) is canonical.ColumnStore
+    assert 8 <= len(store) and set(store) <= set(built)
+    assert store.terms == sum(len(col) for col, _ in store.values())
 
 
 def _walk_labels(mu, e, lo, store):
@@ -413,12 +429,12 @@ def _walk_labels(mu, e, lo, store):
 def test_walk_stops_at_a_stored_label():
     e, mu = 3, P("7,5,4,2,2,1")
     lo = -(mu.size + 2)
-    walk, _ = _walk_labels(mu, e, lo, None)
+    walk, _ = _walk_labels(mu, e, lo, canonical.ColumnStore())
     assert len(walk) >= 3
     # G of the walk's third label, built in its own call over its own offset
     nu = partition_of_mask(walk[2])
     built = canonical.ColumnStore()
-    canonical._llt_column(nu, e, BlockContext(block_of(nu, e)), built)
+    canonical.llt_column(nu, e, built)
     key = Abacus(e, lo, walk[2])
     nu_col, nu_lo = built[key]
     assert nu_lo != lo and key in built
@@ -428,8 +444,7 @@ def test_walk_stops_at_a_stored_label():
     # climb starts from its column moved to the walk's offset
     stopped, start = _walk_labels(mu, e, lo, store)
     assert stopped == walk[:2] and start == canonical._move(nu_col, nu_lo, lo)
-    ctx = BlockContext(block_of(mu, e))
-    assert canonical._llt_column(mu, e, ctx, store) == llt_G(mu, e)
+    assert canonical.llt_column(mu, e, store) == llt_G(mu, e)
 
 
 def _llt_batch_lines(e):
@@ -674,6 +689,20 @@ def test_generated_rouquier_column_matches_member_filter(w):
         mus = [mu for mu in ctx.members() if is_m_increasing(ctx.z_map()[mu], 0)]
         for mu in mus[:: 4 if w == 4 else 1]:
             assert rouquier_column(mu, b, ctx) == _member_filter_column(mu, b, quots), (mu, e)
+
+
+def test_rouquier_column_counts_each_lr_coefficient_once(monkeypatch):
+    # the chains of one column share their LR coefficients: over the 98
+    # columns of (6,3) the pass took 4,462 lr_coefficient calls for 1,004
+    # distinct triples per column
+    calls = Counter()
+    real = canonical.lr_coefficient
+    monkeypatch.setattr(canonical, "lr_coefficient", lambda *a: calls.update([a]) or real(*a))
+    b = rouquier_block(6, 3)
+    ctx = BlockContext(b)
+    for mu in ctx.members():
+        rouquier_column(mu, b, ctx)
+    assert len(ctx.members()) == 98 and sum(calls.values()) <= 1004
 
 
 def test_rouquier_column_carries_lr_multiplicities():

@@ -88,16 +88,15 @@ def test_batch_survives_bad_lines():
 
 
 def test_llt_batch_looks_up_each_block_once(monkeypatch):
-    # a `dnum --method llt` batch finds each mu's block once, in the CLI, at
-    # the first line of that mu, and hands the column route the context of
-    # that block; later lines of the same mu look nothing up
+    # a `dnum --method llt` batch builds each mu's column through the batch's
+    # one column store, which is keyed by abaci, so it looks up no block
     from focktiles import canonical
 
     seen = []
     for mod in (cli, canonical):
         monkeypatch.setattr(mod, "block_of", lambda lam, e, _f=mod.block_of: seen.append(lam) or _f(lam, e))
     code, out, err = _capture(["dnum", "--e", "2", "--method", "llt"], stdin="2,1;3\n3;3\n3,1,1;5\n2;2,2\n")
-    assert seen == [parse_partition(t) for t in ("3", "5", "2,2")]
+    assert seen == []
     assert code == 1 and out.splitlines() == ["0", "1", "q", "error"]
     assert err == "error: line 4: llt_G requires an e-regular partition\n"
 

@@ -1,6 +1,6 @@
 """A `dnum` batch answers what the single queries answer: a `--method
 inductive` batch with one engine per e and each column unpacked once per
-block; every answer is one write, and the batch's state is bounded."""
+mu; every answer is one write, and the batch's state is bounded."""
 
 import io
 import os
@@ -126,8 +126,8 @@ def test_unbuffered_output_is_byte_identical():
 
 @pytest.mark.parametrize("method", ["closed", "llt", "rouquier", "inductive"])
 def test_batch_state_is_bounded(method, monkeypatch):
-    # engines (block contexts, the inductive engine, the LLT store and each
-    # mu's answer) is cleared when it holds FACTS_MAXSIZE entries; at a
+    # engines (the Rouquier block contexts, the inductive engine, the LLT
+    # store and each mu's answer) is cleared when it holds FACTS_MAXSIZE entries; at a
     # bound of 2 the answers are those of an unbounded batch
     e = 6
     members = BlockContext(rouquier_block(e, 2)).members()
@@ -160,6 +160,6 @@ def test_batch_state_is_bounded(method, monkeypatch):
     assert len(mus) >= 3 and want[0] == got[0] == 1
     assert (want[1].getvalue(), want[2].getvalue()) == (got[1].getvalue(), got[2].getvalue())
     # each clear makes the next lines resolve their mu again; the state never
-    # holds more than the bound plus the block context and the engine or
-    # store that a new mu adds
-    assert len(resolved) > len(mus) and max(sizes) <= 2 + 2
+    # holds more than the bound plus the one block context, engine or store
+    # that a new mu adds
+    assert len(resolved) > len(mus) and max(sizes) <= 2 + 1

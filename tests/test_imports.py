@@ -44,6 +44,15 @@ def test_imports_are_at_module_level():
     assert found == set(LOCAL_IMPORTS)
 
 
+def test_cli_imports_no_private_name():
+    # the CLI reaches the library through its public names only
+    tree = ast.parse((Path(focktiles.__file__).parent / "cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("focktiles"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 def _added_modules(code):
     """The sorted names that `code`'s print() call writes, run in a fresh
     interpreter on this checkout's src."""
