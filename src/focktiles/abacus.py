@@ -341,13 +341,16 @@ def _matched_signature(m, lo, e, i):
     add = (_addable(m) << 1) | (~m & 1)  # the bead at lo - 1 is addable when lo is empty
     stack = []
     unmatched = []
-    for p in _bits((rem | add) & _runner(i, e, lo, m.bit_length() + 1)):
-        if rem >> p & 1:
-            stack.append(lo + p)
+    slots = (rem | add) & _runner(i, e, lo, m.bit_length() + 1)
+    while slots:
+        low = slots & -slots
+        if rem & low:
+            stack.append(lo + low.bit_length() - 1)
         elif stack:
             stack.pop()
         else:
-            unmatched.append(lo + p)
+            unmatched.append(lo + low.bit_length() - 1)
+        slots ^= low
     return stack, unmatched
 
 

@@ -48,6 +48,8 @@ from .partitions import EMPTY, all_partitions, conjugate, is_e_regular
 
 # -- LLT algorithm ----------------------------------------------------------
 
+_ONE = {0: 1}  # the packed coefficient 1, which only the offender scan reads
+
 
 def ladder_sequence(mu, e):
     """Residue and multiplicity of each nonempty ladder of [mu], bottom first.
@@ -89,8 +91,11 @@ class ColumnStore(dict):
     of a label, which holds the offset-free (base, mask) of its beta-set,
     -> (G of the label packed over lo, lo).  terms counts the packed terms
     held; past FACTS_MAXSIZE of them only completed columns are added.
-    Stored columns are read, never changed in place.  A `dnum --method
-    llt` batch keeps one per e, and `llt_G` one per block context."""
+    Stored columns are read, never changed in place, and their coefficient
+    dicts are values (`fock`): a climb step that only relabels a term
+    shares its dict, so stored columns share coefficients with each other
+    and with the vectors stepped from them.  A `dnum --method llt` batch
+    keeps one per e, and `llt_G` one per block context."""
 
     __slots__ = ("terms",)
 
@@ -153,7 +158,7 @@ def _crystal_column(m, e, lo, store):
     own column, always is.
     """
     steps = []
-    sigs, stale, below = [None] * e, range(e), (1 << e) - 1
+    sigs, lens, stale, below = [None] * e, [0] * e, range(e), (1 << e) - 1
     while True:
         if not m & ~((m << e) | below):  # an e-core: no bead has a gap e below it
             v = {m: {0: 1}}
@@ -165,7 +170,8 @@ def _crystal_column(m, e, lo, store):
             break
         for r in stale:
             sigs[r] = _matched_signature(m, lo, e, r)[0]
-        i = max(range(e), key=lambda r: len(sigs[r]))
+            lens[r] = len(sigs[r])
+        i = lens.index(max(lens))
         normals = sigs[i]
         if not normals:
             raise AssertionError("an e-regular label that is not an e-core has no normal bead")
@@ -177,7 +183,7 @@ def _crystal_column(m, e, lo, store):
         v = step_F(v, i, k, e, lo)
         guard = 0
         while True:
-            offenders = [x for x, c in v.items() if (c != {0: 1} if x == t else min(c) <= 0)]
+            offenders = [x for x, c in v.items() if (c != _ONE if x == t else min(c) <= 0)]
             if not offenders:
                 break
             guard += 1
@@ -198,7 +204,10 @@ def _crystal_column(m, e, lo, store):
 
 
 def _subtract_multiple(v, alpha, g):
-    """v -= alpha * g on packed terms, in place; g is left unchanged."""
+    """v -= alpha * g on packed terms, in place on v; g is left unchanged.
+    `_accumulate` replaces each coefficient it touches by a fresh dict, so
+    no coefficient dict, which v may share with stored columns, is changed
+    in place."""
     for m, c in g.items():
         for a, ca in alpha.coeffs.items():
             _accumulate(v, m, {x: -ca * cx for x, cx in c.items()}, a)
@@ -707,12 +716,13 @@ def _tops_offset(tops, w):
 def _relabel(vec, a, k, e, lo):
     """E_a^(k) on packed terms over lo at a [w:k]-pair with k >= w: each
     term's k removable runner-a beads move back one slot, its coefficient
-    kept (and shared: a stored column is never changed in place).
+    dict shared, not copied: coefficient dicts are values (`fock`).
 
     On a term with exactly k removable runner-a beads and no addable
     runner-(a-1) bead, `step_E` makes one move, all k beads, with exponent
     0: the result has no removable runner-a bead and the source no addable
-    runner-(a-1) bead.  Any other term is refused with AssertionError.
+    runner-(a-1) bead, so `step_E` shares the dict too.  Any other term is
+    refused with AssertionError.
     """
     width = max(m.bit_length() for m in vec) + 1
     radd, rrem = _runner(a - 1, e, lo, width), _runner(a, e, lo, width)

@@ -5,6 +5,13 @@ a mask is the bead at position lo + p of the charge-0 abacus of a partition,
 and every position below lo is occupied.  A step adds or removes at most one
 row, so an offset lo <= -(rows + 2) leaves room for it.  Packed terms are
 dicts {mask: {exponent: int}}.
+
+The coefficient dicts {exponent: int} of packed terms are values: once
+made they are never changed in place, so kernels share them.  A term that
+a step only relabels, one move with exponent 0, keeps its input's dict, and
+`_accumulate` writes a fresh dict where two terms meet; stored columns may
+therefore share coefficients with each other and with the vectors built
+from them.
 """
 
 from __future__ import annotations
@@ -96,18 +103,22 @@ def pairing(v, lam):
 
 
 def _accumulate(out, m, coef, n):
-    """out[m] += q^n * coef, on exponent -> integer dicts."""
+    """out[m] += q^n * coef, on exponent -> integer dicts.  out[m] is
+    replaced, never changed in place; coef itself becomes out[m] when out
+    has no term at m and n = 0."""
     prev = out.get(m)
     if prev is None:
-        out[m] = {x + n: c for x, c in coef.items()}
+        out[m] = {x + n: c for x, c in coef.items()} if n else coef
         return
+    s = dict(prev)
     for x, c in coef.items():
         x += n
-        s = prev.get(x, 0) + c
-        if s:
-            prev[x] = s
+        c += s.get(x, 0)
+        if c:
+            s[x] = c
         else:
-            del prev[x]
+            del s[x]
+    out[m] = s
 
 
 def step_F(vec, i, k, e, lo):
@@ -115,20 +126,33 @@ def step_F(vec, i, k, e, lo):
 
     The exponent of a move C sums, over its beads c, the addable beads of
     the result above c minus the removable runner-i beads of the source
-    above c + 1.
+    above c + 1.  A term with exactly k addable runner-(i-1) beads has one
+    move, all of them, and its result has no addable runner-(i-1) bead (a
+    bead left on runner i-1 keeps its upper neighbour), so the sum is read
+    only when the source has a removable runner-i bead, and is 0 otherwise.
     """
     if not vec:
         return {}
-    width = max(m.bit_length() for m in vec) + 1
+    width = max(vec).bit_length() + 1
     radd = _runner(i - 1, e, lo, width)
     rrem = _runner(i, e, lo, width)
     out = {}
     for m, coef in vec.items():
-        cand = _bits(_addable(m) & radd)
-        if len(cand) < k:
+        add = _addable(m) & radd
+        nc = add.bit_count()
+        if nc < k:
             continue
         rem = _removable(m) & rrem
-        for C in combinations(cand, k):
+        if nc == k:
+            m2 = m ^ add ^ (add << 1)
+            n = 0
+            while rem and add:
+                low = add & -add
+                n -= (rem >> (low.bit_length() + 1)).bit_count()
+                add ^= low
+            _accumulate(out, m2, coef, n)
+            continue
+        for C in combinations(_bits(add), k):
             moved = 0
             for c in C:
                 moved |= 1 << c
@@ -146,20 +170,34 @@ def step_E(vec, i, k, e, lo):
 
     The exponent of a move C sums, over its beads c, the removable runner-i
     beads of the result below c minus the addable beads of the source
-    below c - 1.
+    below c - 1.  A term with exactly k removable runner-i beads has one
+    move, all of them, and its result has no removable runner-i bead (a
+    bead left on runner i keeps its lower neighbour), so the sum is read
+    only when the source has an addable runner-(i-1) bead, and is 0
+    otherwise.
     """
     if not vec:
         return {}
-    width = max(m.bit_length() for m in vec) + 1
+    width = max(vec).bit_length() + 1
     radd = _runner(i - 1, e, lo, width)
     rrem = _runner(i, e, lo, width)
     out = {}
     for m, coef in vec.items():
-        cand = _bits(_removable(m) & rrem)
-        if len(cand) < k:
+        rem = _removable(m) & rrem
+        nc = rem.bit_count()
+        if nc < k:
             continue
         add = _addable(m) & radd
-        for C in combinations(cand, k):
+        if nc == k:
+            m2 = m ^ rem ^ (rem >> 1)
+            n = 0
+            while add and rem:
+                low = rem & -rem
+                n -= (add & ((low >> 1) - 1)).bit_count()
+                rem ^= low
+            _accumulate(out, m2, coef, n)
+            continue
+        for C in combinations(_bits(rem), k):
             moved = 0
             for c in C:
                 moved |= 1 << c

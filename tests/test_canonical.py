@@ -361,6 +361,8 @@ def _llt_rouquier_columns():
 
 
 def test_llt_matches_the_walk_to_empty(monkeypatch):
+    # both sides step with the kernel under test, `fock.step_F`; the kernel
+    # itself is checked against its reference in test_fock
     cols = _llt_rouquier_columns()
     assert len(cols) == 67
     monkeypatch.setattr(canonical, "_crystal_column", _crystal_column_to_empty)
@@ -379,6 +381,15 @@ def test_llt_walk_counts_on_the_rouquier_blocks(monkeypatch):
         monkeypatch.setattr(canonical, name, lambda *a, _f=real, _n=name: calls.update([_n]) or _f(*a))
     _llt_rouquier_columns()
     assert 0 < calls["step_F"] <= 2500 and 0 < calls["_matched_signature"] <= 7700
+
+
+def test_llt_rouquier_columns_are_pinned():
+    # the 67 columns, pinned byte for byte: a kernel that shares the
+    # coefficients of single moves must not change one of them
+    entries = sorted((mu.parts, sorted((lam.parts, c) for lam, c in terms))
+                     for mu, terms in _llt_rouquier_columns().items())
+    digest = hashlib.sha256(repr(entries).encode()).hexdigest()
+    assert digest == "37def7c2529c65fe2721949d85f8bb477c2134514e7a6dda26057344b2af9d33"
 
 
 def test_llt_context_keeps_one_store(monkeypatch):
@@ -1120,6 +1131,49 @@ def test_relabel_refuses_a_term_that_E_does_not_only_relabel():
     for lam in ("2,1", "2,1,1"):
         with pytest.raises(AssertionError, match="does not only relabel"):
             canonical._relabel({mask_of(P(lam), lo): {0: 1}}, 1, 1, 3, lo)
+
+
+class _Frozen(dict):
+    """A coefficient dict that refuses every change in place."""
+
+    def _refuse(self, *args, **kwargs):
+        raise AssertionError("a stored coefficient dict was changed in place")
+
+    __setitem__ = __delitem__ = __ior__ = pop = popitem = update = setdefault = clear = _refuse
+
+
+def test_stored_coefficients_are_never_changed_in_place(monkeypatch):
+    # coefficient dicts are values: kernels share them, so a stored column's
+    # dicts reach later steps, corrections and columns.  With every stored
+    # dict frozen, the LLT and Scopes columns build as before
+    def scopes_columns():
+        return {mu: InductiveEngine(10).column(P(mu)) for mu in _E10_MUS}
+
+    llt, scopes = _llt_rouquier_columns(), scopes_columns()
+    frozen = Counter()
+
+    def freeze(col, kind):
+        for m, c in col.items():
+            col[m] = _Frozen(c)
+        frozen[kind] += len(col)
+
+    store_set, engine_store = canonical.ColumnStore.__setitem__, InductiveEngine._store
+
+    def frozen_set(self, key, value):
+        freeze(value[0], "llt")
+        store_set(self, key, value)
+
+    def frozen_store(self, rep, lo, col):
+        freeze(col, "scopes")
+        return engine_store(self, rep, lo, col)
+
+    monkeypatch.setattr(canonical.ColumnStore, "__setitem__", frozen_set)
+    monkeypatch.setattr(InductiveEngine, "_store", frozen_store)
+    assert _llt_rouquier_columns() == llt
+    assert scopes_columns() == scopes
+    assert frozen["llt"] > 10000 and frozen["scopes"] > 5000, frozen
+    with pytest.raises(AssertionError, match="changed in place"):
+        _Frozen({0: 1})[0] = 2
 
 
 def test_engine_refuses_a_wrong_weyl_transport(monkeypatch):

@@ -1,10 +1,18 @@
+import copy
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from focktiles.partitions import EMPTY, Partition, all_partitions, parse_partition
-from focktiles.abacus import block_of
-from focktiles.fock import FockVector, addable_beads, apply_E, apply_F, pack, pairing, removable_beads, unpack
+from focktiles import canonical
+from focktiles.partitions import EMPTY, Partition, all_partitions, is_e_regular, parse_partition
+from focktiles.abacus import _addable, _bits, _removable, _runner, block_of, mask_of
+from focktiles.fock import (
+    FockVector, addable_beads, apply_E, apply_F, pack, pairing, removable_beads, step_E, step_F, unpack,
+)
+from focktiles.labels import BlockContext
 from focktiles.laurent import LaurentPoly, quantum_factorial
+from focktiles.verify import rouquier_block
 
 
 q = LaurentPoly.monomial
@@ -182,3 +190,145 @@ def test_pack_roundtrip(v):
     rows = max((len(lam.parts) for lam in v.terms), default=0)
     for lo in range(-(rows + 2), -(rows + 12), -1):
         assert unpack(pack(v, lo)) == v
+
+
+def _reference_accumulate(out, m, coef, n):
+    """out[m] += q^n * coef, changing out's own dicts in place."""
+    prev = out.get(m)
+    if prev is None:
+        out[m] = {x + n: c for x, c in coef.items()}
+        return
+    for x, c in coef.items():
+        x += n
+        s = prev.get(x, 0) + c
+        if s:
+            prev[x] = s
+        else:
+            del prev[x]
+
+
+def reference_step_F(vec, i, k, e, lo):
+    """F_i^(k) on packed terms, one `combinations` move C at a time, with
+    exponent the sum over c in C of the addable runner-(i-1) beads of the
+    result above c minus the removable runner-i beads of the source above
+    c + 1: the reference for `step_F`."""
+    if not vec:
+        return {}
+    width = max(m.bit_length() for m in vec) + 1
+    radd = _runner(i - 1, e, lo, width)
+    rrem = _runner(i, e, lo, width)
+    out = {}
+    for m, coef in vec.items():
+        cand = _bits(_addable(m) & radd)
+        if len(cand) < k:
+            continue
+        rem = _removable(m) & rrem
+        for C in combinations(cand, k):
+            moved = 0
+            for c in C:
+                moved |= 1 << c
+            m2 = m ^ moved ^ (moved << 1)
+            add2 = _addable(m2) & radd
+            n = 0
+            for c in C:
+                n += (add2 >> (c + 1)).bit_count() - (rem >> (c + 2)).bit_count()
+            _reference_accumulate(out, m2, coef, n)
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_step_E(vec, i, k, e, lo):
+    """E_i^(k) on packed terms, one `combinations` move C at a time, with
+    exponent the sum over c in C of the removable runner-i beads of the
+    result below c minus the addable runner-(i-1) beads of the source below
+    c - 1: the reference for `step_E`."""
+    if not vec:
+        return {}
+    width = max(m.bit_length() for m in vec) + 1
+    radd = _runner(i - 1, e, lo, width)
+    rrem = _runner(i, e, lo, width)
+    out = {}
+    for m, coef in vec.items():
+        cand = _bits(_removable(m) & rrem)
+        if len(cand) < k:
+            continue
+        add = _addable(m) & radd
+        for C in combinations(cand, k):
+            moved = 0
+            for c in C:
+                moved |= 1 << c
+            m2 = m ^ moved ^ (moved >> 1)
+            rem2 = _removable(m2) & rrem
+            n = 0
+            for c in C:
+                n += (rem2 & ((1 << c) - 1)).bit_count() - (add & ((1 << (c - 1)) - 1)).bit_count()
+            _reference_accumulate(out, m2, coef, n)
+    return {m: c for m, c in out.items() if c}
+
+
+def _check_steps(vec, i, k, e, lo):
+    """Both kernels equal their references on vec, which they leave as it
+    was; return how many terms each single-move shortcut took."""
+    before = copy.deepcopy(vec)
+    assert step_F(vec, i, k, e, lo) == reference_step_F(vec, i, k, e, lo)
+    assert step_E(vec, i, k, e, lo) == reference_step_E(vec, i, k, e, lo)
+    assert vec == before
+    width = max(vec).bit_length() + 1
+    return (sum((_addable(m) & _runner(i - 1, e, lo, width)).bit_count() == k for m in vec),
+            sum((_removable(m) & _runner(i, e, lo, width)).bit_count() == k for m in vec))
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_steps_match_the_reference_kernels(e):
+    # every partition with n <= 10, every i and k <= 4, with coefficient 1
+    # and with a coefficient of three terms
+    single = [0, 0]
+    for n in range(0, 11):
+        for lam in all_partitions(n):
+            lo = -(len(lam.parts) + 2)
+            m = mask_of(lam, lo)
+            for i in range(e):
+                for k in range(1, 5):
+                    for coef in ({0: 1}, {-2: 3, 0: -1, 5: 2}):
+                        f, g = _check_steps({m: coef}, i, k, e, lo)
+                        single[0] += f
+                        single[1] += g
+    # both shortcuts are exercised
+    assert single[0] and single[1]
+
+
+def test_steps_match_the_reference_kernels_on_climb_vectors(monkeypatch):
+    # the vector fed to every climb step of the (5,3) Rouquier block's LLT
+    # columns, as the climb's spy sees it; two terms of one vector land on
+    # one mask there
+    e, seen, real = 5, [], canonical.step_F
+
+    def spy(vec, i, k, e_, lo):
+        seen.append((dict(vec), i, k, lo))
+        return real(vec, i, k, e_, lo)
+
+    monkeypatch.setattr(canonical, "step_F", spy)
+    ctx = BlockContext(rouquier_block(e, 3))
+    for mu in ctx.members():
+        if is_e_regular(mu, e):
+            canonical.llt_G(mu, e, ctx)
+    monkeypatch.undo()
+    assert len(seen) > 500 and max(len(vec) for vec, *_ in seen) > 1
+    met = 0
+    for vec, i, k, lo in seen:
+        _check_steps(vec, i, k, e, lo)
+        radd = _runner(i - 1, e, lo, max(vec).bit_length() + 1)
+        targets = [m ^ mv ^ (mv << 1) for m in vec for C in combinations(_bits(_addable(m) & radd), k)
+                   for mv in [sum(1 << c for c in C)]]
+        met += len(targets) != len(set(targets))
+    assert met
+
+
+def test_steps_share_the_coefficient_of_a_relabelled_term():
+    # (2) at e = 3: F_2^(2) adds both its 2-nodes, E_1 removes its one
+    # 1-node; each is one move with exponent 0 and keeps the input's dict
+    lo, coef = -6, {-1: 2, 3: -1}
+    m = mask_of(parse_partition("2"), lo)
+    (out,) = step_F({m: coef}, 2, 2, 3, lo).values()
+    assert out is coef
+    (out,) = step_E({m: coef}, 1, 1, 3, lo).values()
+    assert out is coef
