@@ -13,7 +13,7 @@ from .canonical import ColumnStore, InductiveEngine, llt_column, llt_G, rouquier
 from .fock import FockVector
 from .labels import BlockContext, hat_z, hooks_e, is_m_increasing, lifted_json, modified_basis, z_label
 from .partitions import format_partition, parse_partition
-from .polytope import build_tiling, d_closed, export_tiling, pi_membership
+from .polytope import build_tiling, closed_column, export_tiling, pi_membership
 
 
 def _plist(lam):
@@ -27,7 +27,8 @@ def _vec(v):
 def _say(text, stream=None):
     """Write text and its newline in one call (stdout by default): print
     writes them apart, and with PYTHONUNBUFFERED=1 each write is a system
-    call that wakes the reader."""
+    call that wakes the reader.  A query's answer is one write; a `dnum`
+    batch writes its answers a chunk at a time (`_dnum_batch`)."""
     (stream or sys.stdout).write(text + "\n")
 
 
@@ -62,6 +63,95 @@ def _intern(labels, text):
             labels.clear()
         lam = labels[text] = parse_partition(text)
     return lam
+
+
+def _stdin_chunks(stdin):
+    """Yield stdin's lines a chunk at a time, undecoded, each chunk with the
+    function that decodes one of its lines.
+
+    A chunk is what one `read1` of stdin's binary buffer returns: at most
+    64 KiB and one raw read, so the read blocks only when no input is
+    waiting, and an interactive caller's line is a chunk of its own.  A
+    partial last line is carried over to the next chunk, and at the end of
+    input it is a chunk of its own.  Lines split on
+    b"\n" (an ASCII-compatible encoding, as on stdin) and are decoded one
+    at a time with the stream's own encoding and errors, so a line that
+    does not decode is that line's error alone.  An in-memory text stream,
+    which has no buffer (io.StringIO), is one chunk of text lines.
+    """
+    buf = getattr(stdin, "buffer", None)
+    if buf is None:
+        yield stdin.read().split("\n"), str
+        return
+    encoding, errors = stdin.encoding, stdin.errors
+
+    def decode(raw):
+        return raw.decode(encoding, errors)
+
+    tail = b""
+    while True:
+        chunk = buf.read1(1 << 16)
+        if not chunk:
+            break
+        lines = (tail + chunk).split(b"\n")
+        tail = lines.pop()
+        yield lines, decode
+    if tail:
+        yield [tail], decode
+
+
+def _dnum_batch(args):
+    """Answer the `lambda;mu` lines of stdin, one answer line each; returns
+    the exit code.  A bad line answers "error", its message goes to stderr
+    and the batch goes on; the exit code is then 1.  The batch keeps its
+    state in engines (`_dnum_one`) and labels (`_intern`).
+
+    Writes: the first answer is written alone as soon as it is known, so
+    the time to it is the first line's own work.  After it, the answers of
+    a chunk of input (`_stdin_chunks`) are joined into one write before the
+    next chunk is read: with PYTHONUNBUFFERED=1 each write is a system call
+    that wakes the reader, and a file batch would otherwise make one per
+    line.  An error line first writes the answers pending before it and
+    its own, then its message, so `2>&1` keeps line order.  Pending output
+    is at most one chunk's answers.  A last line without its newline is
+    known to be whole only when a read finds the end of input, after the
+    last chunk's answers are written, so its answer is one write more.
+    """
+    code, engines, labels, pending, n = 0, {}, {}, [], 0
+    first = True
+    try:
+        for lines, decode in _stdin_chunks(sys.stdin):
+            for raw in lines:
+                n += 1
+                try:
+                    line = decode(raw).strip()
+                    if not line:
+                        continue
+                    val = _dnum_line(line, args.e, args.method, engines, labels)
+                except DOMAIN_ERRORS as exc:
+                    pending.append(json.dumps({"error": str(exc)}) if args.json else "error")
+                    _flush(pending)
+                    _say("error: line %d: %s" % (n, exc), sys.stderr)
+                    code, first = 1, False
+                    continue
+                # the JSON answer is built only when asked for: batches are long
+                pending.append(json.dumps({"d": val.to_pairs()}) if args.json else str(val))
+                if first:
+                    _flush(pending)
+                    first = False
+            _flush(pending)
+    finally:
+        # answers given before an error that ends the batch are still written
+        _flush(pending)
+    return code
+
+
+def _flush(pending):
+    """Write the pending answer lines in one write, and forget them."""
+    if pending:
+        text = "\n".join(pending)
+        pending.clear()
+        _say(text)
 
 
 def _dnum_line(line, e, method, engines, labels):
@@ -99,7 +189,7 @@ def _column_of(mu, e, method, engines):
     checks and its column is built."""
     if method == "closed":
         _closed_domain(mu, e)
-        return partial(d_closed, mu=mu, e=e)
+        return closed_column(mu, e)
     if method == "llt":
         return llt_column(mu, e, _kept(engines, ("llt", e), ColumnStore)).coeff
     if method == "inductive":
@@ -210,25 +300,9 @@ def _dispatch(args):
             _emit(args, _vec(sorted(gamma)), {"gamma": sorted(gamma)})
         return 0
     if v == "dnum":
-        engines = {}
         if args.lam is None or args.mu is None:
-            # a bad line answers "error" and the batch goes on; exit 1 at the end
-            code, labels = 0, {}
-            for n, line in enumerate(sys.stdin, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    val = _dnum_line(line, e, args.method, engines, labels)
-                except DOMAIN_ERRORS as exc:
-                    _say(json.dumps({"error": str(exc)}) if args.json else "error")
-                    _say("error: line %d: %s" % (n, exc), sys.stderr)
-                    code = 1
-                    continue
-                # the JSON answer is built only when asked for: batches are long
-                _say(json.dumps({"d": val.to_pairs()}) if args.json else str(val))
-            return code
-        val = _dnum_one(parse_partition(args.lam), parse_partition(args.mu), e, args.method, engines)
+            return _dnum_batch(args)
+        val = _dnum_one(parse_partition(args.lam), parse_partition(args.mu), e, args.method, {})
         _emit(args, str(val), {"d": val.to_pairs()})
         return 0
     if v == "gcolumn":
@@ -243,7 +317,8 @@ def _dispatch(args):
             col = InductiveEngine(e).column(mu)
         else:
             _closed_domain(mu, e)
-            col = FockVector({lam: d_closed(lam, mu, e) for lam in ctx.members()})
+            closed = closed_column(mu, e)
+            col = FockVector({lam: closed(lam) for lam in ctx.members()})
         payload = {
             "block": b.to_json(),
             "columns": [

@@ -126,31 +126,52 @@ def d_closed(lam, mu, e):
 
     Valid as a q-decomposition number when mu is 4-increasing, in which case
     the parallelotope and hypercube routes provably agree; only there is the
-    hypercube route run, and the agreement asserted.
+    hypercube route run, and the agreement asserted (`closed_column`).
+    """
+    return closed_column(mu, e)(lam)
 
-    Each partition's `facts` record is read once.  The parallelotope route
+
+def closed_column(mu, e):
+    """The function lam -> d_{lam,mu}(q) of `d_closed`.
+
+    mu's `facts` record, z(mu), the 4-increasing test and zhat(mu) are read
+    here, once; each call reads lam's record once.  The parallelotope route
     expands z(mu) - z(lam) in lam's modified basis along its runner chains
     (`_gamma`).  The hypercube route tests coordinates: every generator of
     C(lam) is one signed unit vector, and no two share a coordinate
     (`_cube_signs`, built once per lam), so zhat(mu) is a vertex of C(lam)
     exactly when every nonzero coordinate of zhat(mu) - zhat(lam) is that
     of a generator, with its sign, and the box distance is the number of
-    such coordinates.  The 2^w vertices are never listed.
+    such coordinates.  The 2^w vertices are never listed.  The answers are
+    shared values: the zero, and one monomial per distance.
     """
-    fl, fm = _moved(lam, e), _moved(mu, e)
-    if fl.core != fm.core or fl.weight != fm.weight or not _hooks(fl):
-        return LaurentPoly.zero()
+    fm = _moved(mu, e)
     zm = _z(fm)
-    gamma = _gamma(fl, zm)
-    dist = None if gamma is None else len(gamma)
-    if is_m_increasing(zm, 4):
-        sign = fl.cube_signs or _cube_signs(lam, e)
-        d = [(k, c) for k, c in enumerate(vec_sub(_hat(fm), _hat(fl))) if c]
-        if (len(d) if all(sign.get(k) == c for k, c in d) else None) != dist:
-            raise AssertionError(
-                "parallelotope and hypercube routes disagree on a 4-increasing column"
-            )
-    return LaurentPoly.zero() if dist is None else LaurentPoly.monomial(dist)
+    hm = _hat(fm) if is_m_increasing(zm, 4) else None
+    core, weight = fm.core, fm.weight
+    zero, monomials = LaurentPoly.zero(), {}
+
+    def d(lam):
+        fl = _moved(lam, e)
+        if fl.core != core or fl.weight != weight or not _hooks(fl):
+            return zero
+        gamma = _gamma(fl, zm)
+        dist = None if gamma is None else len(gamma)
+        if hm is not None:
+            sign = fl.cube_signs or _cube_signs(lam, e)
+            diff = [(k, c) for k, c in enumerate(vec_sub(hm, _hat(fl))) if c]
+            if (len(diff) if all(sign.get(k) == c for k, c in diff) else None) != dist:
+                raise AssertionError(
+                    "parallelotope and hypercube routes disagree on a 4-increasing column"
+                )
+        if dist is None:
+            return zero
+        got = monomials.get(dist)
+        if got is None:
+            got = monomials[dist] = LaurentPoly.monomial(dist)
+        return got
+
+    return d
 
 
 class Tiling(namedtuple("Tiling", "block cells")):

@@ -64,6 +64,7 @@ from .polytope import (
     check_common_faces,
     check_cube_injectivity,
     check_discrete_union,
+    closed_column,
     d_closed,
     parallelotope_of,
     pi_membership,
@@ -247,9 +248,9 @@ def ac2():
     for b in ac2_blocks():
         ctx = BlockContext(b)
         for mu in _four_increasing_mus(ctx, regular_only=True):
-            G = llt_G(mu, b.e, ctx)
+            G, closed = llt_G(mu, b.e, ctx), closed_column(mu, b.e)
             for lam in ctx.members():
-                if G.coeff(lam) != d_closed(lam, mu, b.e):
+                if G.coeff(lam) != closed(lam):
                     return False, "mismatch at %s, %s in %r" % (lam, mu, b)
             total += 1
     return True, "%d columns compared" % total
@@ -273,9 +274,9 @@ def ac3():
             if k_rem >= 1:
                 pairs.append((a, k_rem))
         for mu in mus:
-            col = eng.column(mu)
+            col, closed = eng.column(mu), closed_column(mu, b.e)
             for lam in ctx.members():
-                if col.coeff(lam) != d_closed(lam, mu, b.e):
+                if col.coeff(lam) != closed(lam):
                     return False, "mismatch at %s, %s in %r" % (lam, mu, b)
             for a, k in pairs:
                 if apply_E(col, a, k + 2, b.e):
@@ -315,10 +316,10 @@ def ac4():
         for mu in mus:
             G = llt_G(mu, e, ctx) if is_e_regular(mu, e) else None
             # each entry of the column is checked against the hook reduction
-            col = rouquier_column(mu, b, ctx)
+            col, closed = rouquier_column(mu, b, ctx), closed_column(mu, e)
             for lam in ctx.members():
                 v = col.coeff(lam)
-                if v != d_closed(lam, mu, e):
+                if v != closed(lam):
                     return False, "rouquier vs closed at %s, %s in %r" % (lam, mu, b)
                 if G is not None and v != G.coeff(lam):
                     return False, "rouquier vs llt at %s, %s in %r" % (lam, mu, b)
