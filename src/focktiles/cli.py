@@ -13,7 +13,7 @@ from .canonical import ColumnStore, InductiveEngine, llt_column, llt_G, rouquier
 from .fock import FockVector
 from .labels import BlockContext, hat_z, hooks_e, is_m_increasing, lifted_json, modified_basis, z_label
 from .partitions import format_partition, parse_partition
-from .polytope import build_tiling, closed_column, export_tiling, pi_membership
+from .polytope import build_tiling, d_closed_for, export_tiling, pi_membership
 
 
 def _plist(lam):
@@ -189,7 +189,7 @@ def _column_of(mu, e, method, engines):
     checks and its column is built."""
     if method == "closed":
         _closed_domain(mu, e)
-        return closed_column(mu, e)
+        return d_closed_for(mu, e)
     if method == "llt":
         return llt_column(mu, e, _kept(engines, ("llt", e), ColumnStore)).coeff
     if method == "inductive":
@@ -317,7 +317,7 @@ def _dispatch(args):
             col = InductiveEngine(e).column(mu)
         else:
             _closed_domain(mu, e)
-            closed = closed_column(mu, e)
+            closed = d_closed_for(mu, e)
             col = FockVector({lam: closed(lam) for lam in ctx.members()})
         payload = {
             "block": b.to_json(),

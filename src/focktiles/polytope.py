@@ -126,12 +126,12 @@ def d_closed(lam, mu, e):
 
     Valid as a q-decomposition number when mu is 4-increasing, in which case
     the parallelotope and hypercube routes provably agree; only there is the
-    hypercube route run, and the agreement asserted (`closed_column`).
+    hypercube route run, and the agreement asserted (`d_closed_for`).
     """
-    return closed_column(mu, e)(lam)
+    return d_closed_for(mu, e)(lam)
 
 
-def closed_column(mu, e):
+def d_closed_for(mu, e):
     """The function lam -> d_{lam,mu}(q) of `d_closed`.
 
     mu's `facts` record, z(mu), the 4-increasing test and zhat(mu) are read

@@ -64,8 +64,8 @@ from .polytope import (
     check_common_faces,
     check_cube_injectivity,
     check_discrete_union,
-    closed_column,
     d_closed,
+    d_closed_for,
     parallelotope_of,
     pi_membership,
 )
@@ -248,7 +248,7 @@ def ac2():
     for b in ac2_blocks():
         ctx = BlockContext(b)
         for mu in _four_increasing_mus(ctx, regular_only=True):
-            G, closed = llt_G(mu, b.e, ctx), closed_column(mu, b.e)
+            G, closed = llt_G(mu, b.e, ctx), d_closed_for(mu, b.e)
             for lam in ctx.members():
                 if G.coeff(lam) != closed(lam):
                     return False, "mismatch at %s, %s in %r" % (lam, mu, b)
@@ -274,7 +274,7 @@ def ac3():
             if k_rem >= 1:
                 pairs.append((a, k_rem))
         for mu in mus:
-            col, closed = eng.column(mu), closed_column(mu, b.e)
+            col, closed = eng.column(mu), d_closed_for(mu, b.e)
             for lam in ctx.members():
                 if col.coeff(lam) != closed(lam):
                     return False, "mismatch at %s, %s in %r" % (lam, mu, b)
@@ -316,7 +316,7 @@ def ac4():
         for mu in mus:
             G = llt_G(mu, e, ctx) if is_e_regular(mu, e) else None
             # each entry of the column is checked against the hook reduction
-            col, closed = rouquier_column(mu, b, ctx), closed_column(mu, e)
+            col, closed = rouquier_column(mu, b, ctx), d_closed_for(mu, e)
             for lam in ctx.members():
                 v = col.coeff(lam)
                 if v != closed(lam):
