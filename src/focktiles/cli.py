@@ -73,11 +73,11 @@ def _stdin_chunks(stdin):
     64 KiB and one raw read, so the read blocks only when no input is
     waiting, and an interactive caller's line is a chunk of its own.  A
     partial last line is carried over to the next chunk, and at the end of
-    input it is a chunk of its own.  Lines split on
-    b"\n" (an ASCII-compatible encoding, as on stdin) and are decoded one
-    at a time with the stream's own encoding and errors, so a line that
-    does not decode is that line's error alone.  An in-memory text stream,
-    which has no buffer (io.StringIO), is one chunk of text lines.
+    input it is a chunk of its own.  Lines split on b"\n" (stdin's
+    encoding is ASCII-compatible) and are decoded one at a time with the
+    stream's own encoding and errors, so a line that does not decode is
+    that line's error alone.  An in-memory text stream, which has no
+    buffer (io.StringIO), is one chunk of text lines.
     """
     buf = getattr(stdin, "buffer", None)
     if buf is None:

@@ -235,8 +235,8 @@ def test_an_undecodable_line_is_that_lines_error():
     assert (strict.returncode, strict.stdout, strict.stderr) == (
         1, b"0\nerror\n1\n",
         b"error: line 2: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n")
-    # surrogateescape, the POSIX locale's default, decodes the byte: the
-    # partition parser refuses it, as before lines were decoded one by one
+    # surrogateescape, the POSIX locale's default, decodes the byte to a
+    # surrogate, which the partition parser refuses
     escaped = _cli(argv, stdin, env={"PYTHONIOENCODING": "utf-8:surrogateescape"}, capture_output=True)
     assert (escaped.returncode, escaped.stdout, escaped.stderr) == (
         1, b"0\nerror\n1\n", b"error: line 2: bad partition token '\\udcff'\n")

@@ -8,7 +8,7 @@ import pytest
 from focktiles.partitions import EMPTY, parse_partition
 from focktiles import polytope
 from focktiles.abacus import BlockId, block_of, facts
-from focktiles.labels import BlockContext, hat_z, is_hook_quotient, is_m_increasing, project, vec_sub, z_label
+from focktiles.labels import BlockContext, hat_z, is_hook_quotient, is_m_increasing, project, vec_sub, z_inverse, z_label
 from focktiles.laurent import LaurentPoly
 from focktiles.polytope import (
     Parallelotope,
@@ -17,6 +17,7 @@ from focktiles.polytope import (
     check_cube_injectivity,
     check_discrete_union,
     d_closed,
+    d_closed_for,
     export_tiling,
     ext_adjacency,
     hypercube_of,
@@ -369,6 +370,24 @@ def test_d_closed_equals_the_two_route_reference():
             assert d_closed(other, mu, e) == d_closed(mu, other, e) == LaurentPoly.zero()
             pairs += len(members)
     assert pairs == 1158610 and four > 0
+
+
+def test_d_closed_is_zero_off_the_block_at_equal_weight():
+    # lam of another block with mu's weight and z-label: Pi(lam) holds z(mu),
+    # so only the core test tells the blocks apart
+    e = 10
+    ctx = BlockContext(BlockId(e, EMPTY, 2))
+    other = BlockId(e, P("1"), 2)
+    checked = 0
+    for mu in ctx.members():
+        z = ctx.z_map()[mu]
+        if not is_m_increasing(z, 4):
+            continue
+        lam = z_inverse(other, z)
+        if is_hook_quotient(lam, e) and pi_membership(lam, z, e) is not None:
+            assert d_closed(lam, mu, e) == d_closed_for(mu, e)(lam) == LaurentPoly.zero(), (lam, mu)
+            checked += 1
+    assert checked > 0
 
 
 def test_d_closed_compares_the_routes_on_every_four_increasing_pair(monkeypatch):
