@@ -190,17 +190,21 @@ def _runner_tops(runners, e):
     return [first + (bits.count("1") - 1) * e for first, bits in runners]
 
 
-def _from_tops(tops, quot):
+def _from_tops(tops, quot, lo=None):
     """The partition whose runner r holds quot[r] below the top tops[r] of a
     core runner (tops[r] = r mod e, e = len(tops)): the beta-set of quot[r]
     in charge tops[r] // e + 1 on runner r, every runner starting at the
     common level k0; an empty quot[r] leaves runner r full from k0 to its top.
-    With empty quotients it is the e-core with these tops."""
+    With empty quotients it is the e-core with these tops.  Given an offset
+    lo, its packed beta-set over lo instead (the string starts at k0 e)."""
     e = len(tops)
     charges = [x // e + 1 for x in tops]
     k0 = min(map(sub, charges, map(len, quot)))
-    return _partition_of_bits(_interleave([bin(mask_of(nu, k0 - c))[:1:-1] if nu else "1" * (c - k0)
-                                           for c, nu in zip(charges, quot)]))
+    s = _interleave([bin(mask_of(nu, k0 - c))[:1:-1] if nu else "1" * (c - k0) for c, nu in zip(charges, quot)])
+    if lo is None:
+        return _partition_of_bits(s)
+    m, d = int("0" + s[::-1], 2), k0 * e - lo
+    return (m << d) | ((1 << d) - 1) if d >= 0 else m >> -d
 
 
 def core_quotient_weight(a):

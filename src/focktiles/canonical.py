@@ -30,7 +30,7 @@ from .abacus import (
     scopes_chain_blocks,
     weyl_s,
 )
-from .fock import FockVector, _accumulate, addable_beads, apply_F, pack, removable_beads, step_E, step_F, unpack
+from .fock import FockVector, _accumulate, addable_beads, apply_F, move, removable_beads, step_E, step_F, unpack
 from .labels import (
     BlockContext,
     abacus_movements,
@@ -83,19 +83,17 @@ def llt_G(mu, e, ctx=None):
     caches = BlockContext.of(block_of(mu, e), ctx).caches
     if "llt" not in caches:
         caches["llt"] = ColumnStore()
-    return llt_column(mu, e, caches["llt"])
+    return unpack(llt_column(mu, e, caches["llt"])[1])
 
 
 class ColumnStore(dict):
     """LLT columns kept across `llt_column` calls at one e: the `Abacus`
     of a label, which holds the offset-free (base, mask) of its beta-set,
-    -> (G of the label packed over lo, lo).  terms counts the packed terms
+    -> (lo, G of the label packed over lo).  terms counts the packed terms
     held; past FACTS_MAXSIZE of them only completed columns are added.
-    Stored columns are read, never changed in place, and their coefficient
-    dicts are values (`fock`): a climb step that only relabels a term
-    shares its dict, so stored columns share coefficients with each other
-    and with the vectors stepped from them.  A `dnum --method llt` batch
-    keeps one per e, and `llt_G` one per block context."""
+    Stored columns are read, never changed in place, and share coefficient
+    dicts, which are values (`fock`).  `llt_G` and the suites keep one per
+    block, a `dnum --method llt` batch one per e."""
 
     __slots__ = ("terms",)
 
@@ -105,13 +103,13 @@ class ColumnStore(dict):
 
 
 def llt_column(mu, e, store):
-    """G(mu) by the crystal recursion, on packed terms over one offset,
-    reading and filling store, a `ColumnStore` of e.
+    """(lo, G(mu) packed over lo), lo = -(|mu| + 2), by the crystal
+    recursion, reading and filling store, a `ColumnStore` of e.
 
     Each column is built by a `_crystal_column` generator, which asks for
     the columns of its corrections; a stack of generators answers them, so
     nothing recurses.  A correction already stored is answered by its
-    generator's first store lookup.  Only mu's own column is unpacked.
+    generator's first store lookup.
     """
     if not is_e_regular(mu, e):
         raise ValueError("llt_G requires an e-regular partition")
@@ -127,7 +125,7 @@ def llt_column(mu, e, store):
             continue
         stack.append(_crystal_column(mask_of(nu, lo), e, lo, store))
         col = None
-    return unpack(col)
+    return lo, col
 
 
 def _crystal_column(m, e, lo, store):
@@ -166,7 +164,7 @@ def _crystal_column(m, e, lo, store):
         key = Abacus(e, lo, m)
         hit = store.get(key)
         if hit is not None:
-            v = _move(*hit, lo)
+            v = move(hit[1], hit[0], lo)
             break
         for r in stale:
             sigs[r] = _matched_signature(m, lo, e, r)[0]
@@ -198,7 +196,7 @@ def _crystal_column(m, e, lo, store):
             alpha, _ = bar_symmetric_split(LaurentPoly(v[x]))
             _subtract_multiple(v, alpha, (yield nu))
         if t == steps[0][0] or store.terms < FACTS_MAXSIZE:
-            store[key] = v, lo
+            store[key] = lo, v
             store.terms += len(v)
     return v
 
@@ -281,10 +279,20 @@ def shifted_quotient(lam, e, c):
 def rouquier_d(lam, mu, b, ctx=None):
     """q-decomposition number in a Rouquier block, by the LR-product formula:
     the entry of `rouquier_column(mu, b, ctx)` at lam."""
-    col = rouquier_column(mu, b, ctx)  # refuses a block that is not Rouquier
-    if block_of(lam, b.e) != b:
-        raise ValueError("both partitions must lie in the block")
-    return col.coeff(lam)
+    return rouquier_d_for(mu, b, ctx)(lam)
+
+
+def rouquier_d_for(mu, b, ctx=None):
+    """The function lam -> d_{lam,mu}(q) of `rouquier_d`: mu's column is read
+    once and unpacked; each call refuses a lam outside the block."""
+    terms = unpack(rouquier_column(mu, b, ctx)[1]).terms  # refuses a block that is not Rouquier
+
+    def d(lam):
+        if block_of(lam, b.e) != b:
+            raise ValueError("both partitions must lie in the block")
+        return terms.get(lam, LaurentPoly.zero())
+
+    return d
 
 
 def _rouquier_d_reduced(ql, qm):
@@ -352,14 +360,15 @@ def _rouquier_terms(qm, w):
 
 
 def rouquier_column(mu, b, ctx=None):
-    """The full column of d_{lambda,mu} over a Rouquier block.
+    """(lo, the column of d_{lambda,mu} packed over lo) over a Rouquier
+    block b, lo its offset (`_tops_offset`).
 
     One pass over the LR chains (`_rouquier_terms`) gives the support and
     the LR totals from mu's shifted quotient qm; the entry at ql is
     q^delta times its total, delta = sum_{j<e-1} (e-1-j)(|ql_j| - |qm_j|),
-    and each lambda is built from its quotient by interleaving runners.
-    When qm is all columns, the hook reduction is evaluated on every
-    quotient of the block and must equal the entry there, 0 off the
+    and each lambda's mask is written from its quotient by interleaving
+    runners.  When qm is all columns, the hook reduction is evaluated on
+    every quotient of the block and must equal the entry there, 0 off the
     support; the block's quotients are listed once per context.  Columns
     are kept in the context's "rouquier" cache.
     """
@@ -378,17 +387,17 @@ def rouquier_column(mu, b, ctx=None):
     values = {}
     for ql, total in _rouquier_terms(qm, b.weight).items():
         delta = sum((e - 1 - j) * (ql[j].size - sm[j]) for j in range(e - 1))
-        values[ql] = LaurentPoly.monomial(delta, total)
+        values[ql] = {delta: total}
     if all(q.parts == (1,) * len(q.parts) for q in qm):
         for ql in ctx.quotients():
-            if _rouquier_d_reduced(ql, qm) != values.get(ql, LaurentPoly.zero()):
+            if _rouquier_d_reduced(ql, qm).coeffs != values.get(ql, {}):
                 raise AssertionError("the hook reduction disagrees with the LR formula %s the LR support at %r"
                                      % ("on" if ql in values else "off", ql))
     tops = core_tops(b.core, e)
+    lo = _tops_offset(tops, b.weight)
     # runner r of the display shifted by c is runner r - c unshifted
-    col = FockVector({_from_tops(tops, ql[c:] + ql[:c]): v for ql, v in values.items()})
-    cache[mu] = col
-    return col
+    cache[mu] = lo, {_from_tops(tops, ql[c:] + ql[:c], lo): v for ql, v in values.items()}
+    return cache[mu]
 
 
 # -- exceptional families ----------------------------------------------------
@@ -556,15 +565,14 @@ def exceptional_family(gen, pair):
 class InductiveEngine:
     """Scopes-chain construction of canonical-basis columns.
 
-    The column of mu is kept packed over the offset of its block b
-    (`_tops_offset`), {mask: {exponent: int}} as `fock` steps them, stored
-    together with that offset as (lo, col) and cached by mu's `Abacus`,
-    which fixes b at the engine's e.  The chain of each block asked for is
-    kept as `scopes_chain_blocks` gives it, the core tops it visits and its
-    steps, so a chain of L steps holds O(L) slots.  A step reads its
-    predecessor's offset from the store, works over it, and moves its
-    result to the offset of the block it writes (`_move`), read off that
-    block's core tops.  Only the column that `column` returns is unpacked.
+    The column of mu is kept as (lo, col) (`fock`), lo the offset of its
+    block b (`_tops_offset`), and cached by mu's `Abacus`, which fixes b at
+    the engine's e; `packed_column` returns it, `column` unpacks it.  The
+    chain of each block asked for is kept as `scopes_chain_blocks` gives
+    it, the core tops it visits and its steps, so a chain of L steps holds
+    O(L) slots.  A step reads its predecessor's offset from the store,
+    works over it, and moves its result to the offset of the block it
+    writes (`fock.move`), read off its core tops.
 
     mu's representatives along the chain are abaci, carried back by
     `weyl_s`; each must have the visited core tops and z(mu), read off one
@@ -597,9 +605,9 @@ class InductiveEngine:
 
     def column(self, mu):
         """G(mu) as a Fock vector."""
-        return unpack(self._column(mu)[1])
+        return unpack(self.packed_column(mu)[1])
 
-    def _column(self, mu):
+    def packed_column(self, mu):
         """(lo, G(mu) packed over lo), lo the offset of mu's block."""
         e = self.e
         rep = facts(mu, e).abacus
@@ -609,13 +617,12 @@ class InductiveEngine:
         w = b.weight
         if w == 0:
             lo = _tops_offset(core_tops(b.core, e), 0)
-            return self._store(rep, lo, pack(FockVector.basis(mu), lo))
+            return self._store(rep, lo, {rep.mask_over(lo): {0: 1}})
         z = z_label(mu, e)
         if not is_m_increasing(z, 4):
             raise ValueError("inductive_G requires a 4-increasing partition")
         if is_rouquier(b):
-            lo = _tops_offset(core_tops(b.core, e), w)
-            return self._store(rep, lo, pack(rouquier_column(mu, b), lo))
+            return self._store(rep, *rouquier_column(mu, b))
         # walk back along the Scopes chain to the Rouquier base, then build
         # the z-matched columns forward iteratively (chains can be long)
         tops, chain = self.chain(b)
@@ -628,16 +635,15 @@ class InductiveEngine:
             if _runner_tops(runners, e) != list(t) or abacus_z(r, abacus_movements(runners, e)) != z:
                 raise AssertionError("Weyl transport left the expected block or label")
         if reps[0] not in self.cols:
-            lo = _tops_offset(tops[0], w)
             base = BlockId(e, _from_tops(tops[0], (EMPTY,) * e), w)
-            self._store(reps[0], lo, pack(rouquier_column(partition_of(reps[0]), base), lo))
+            self._store(reps[0], *rouquier_column(partition_of(reps[0]), base))
         for i, (a, k) in enumerate(chain, 1):
             if reps[i] in self.cols:
                 continue
             blo, prev = self.cols[reps[i - 1]]
             lo = _tops_offset(tops[i], w)
             if k >= w:
-                col = _move(_relabel(prev, a, k, e, blo), blo, lo)
+                col = move(_relabel(prev, a, k, e, blo), blo, lo)
             else:
                 pair = ScopesPair(tops=tops[i], w=w, a=a, k=k)
                 col = self._step(reps[i].mask_over(lo), prev, z, pair, blo, lo)
@@ -672,15 +678,15 @@ class InductiveEngine:
                 raise AssertionError("1-increasing exceptional family must be hook-quotient")
             if m == mask_of(fam.upper[0], lo):
                 return self._F(gen, a, lo)
-        col = _move(step_E(prev, a, k, e, blo), blo, lo)
+        col = move(step_E(prev, a, k, e, blo), blo, lo)
         for fam, n in self._corrections(col, m, z, pair, lo):
             _subtract_multiple(col, quantum_int(n - 1), self._F(fam.generator, a, lo))
         return col
 
     def _F(self, gen, a, lo):
         """F_a G(gen), packed over lo; G(gen) is read with its own offset."""
-        glo, col = self._column(gen)
-        return _move(step_F(col, a, 1, self.e, glo), glo, lo)
+        glo, col = self.packed_column(gen)
+        return move(step_F(col, a, 1, self.e, glo), glo, lo)
 
     def _corrections(self, col, m, z_prev, pair, lo):
         """The families with s = 0 and n >= 2 for z_prev = z(prev), with their n.
@@ -733,18 +739,6 @@ def _relabel(vec, a, k, e, lo):
             raise AssertionError("a Scopes relabelling met a term that E_a^(k) does not only relabel")
         out[m ^ rem ^ (rem >> 1)] = c
     return out
-
-
-def _move(vec, lo, new):
-    """Packed terms over offset lo moved to offset new; the positions below
-    new that a term drops must be filled."""
-    d = new - lo
-    if d <= 0:
-        return {(m << -d) | ((1 << -d) - 1): c for m, c in vec.items()}
-    fill = (1 << d) - 1
-    if any(m & fill != fill for m in vec):
-        raise AssertionError("a packed term does not fit above the new offset")
-    return {m >> d: c for m, c in vec.items()}
 
 
 def _bead_back(m, a, e, lo):

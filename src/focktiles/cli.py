@@ -9,11 +9,11 @@ from functools import partial
 
 from .abacus import FACTS_MAXSIZE, BlockId, block_of, core_of, enumerate_block, quotient_of
 from .beadops import MoveError, lambda_of_hook, move_along, move_one, mullineux_crystal
-from .canonical import ColumnStore, InductiveEngine, llt_column, llt_G, rouquier_column, rouquier_d
-from .fock import FockVector
+from .canonical import ColumnStore, InductiveEngine, llt_column, rouquier_column, rouquier_d_for
+from .fock import unpack
 from .labels import BlockContext, hat_z, hooks_e, is_m_increasing, lifted_json, modified_basis, z_label
 from .partitions import format_partition, parse_partition
-from .polytope import build_tiling, d_closed_for, export_tiling, pi_membership
+from .polytope import build_tiling, closed_sweep, d_closed_for, export_tiling, pi_membership
 
 
 def _plist(lam):
@@ -191,15 +191,12 @@ def _column_of(mu, e, method, engines):
         _closed_domain(mu, e)
         return d_closed_for(mu, e)
     if method == "llt":
-        return llt_column(mu, e, _kept(engines, ("llt", e), ColumnStore)).coeff
+        return unpack(llt_column(mu, e, _kept(engines, ("llt", e), ColumnStore))[1]).coeff
     if method == "inductive":
         return _kept(engines, ("ind", e), partial(InductiveEngine, e)).column(mu).coeff
     if method == "rouquier":
         b = block_of(mu, e)
-        ctx = _kept(engines, ("ctx", b), partial(BlockContext, b))
-        # the column is built once; each line is still refused outside the block
-        rouquier_column(mu, b, ctx)
-        return partial(rouquier_d, mu=mu, b=b, ctx=ctx)
+        return rouquier_d_for(mu, b, _kept(engines, ("ctx", b), partial(BlockContext, b)))
     raise ValueError("unknown method %r" % method)
 
 
@@ -247,6 +244,8 @@ def run(argv):
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
+        if args.verb == "dnum" and (args.lam is None) != (args.mu is None):
+            ap.error("dnum takes both lambda and mu, or neither to read 'lambda;mu' lines from stdin")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -308,17 +307,16 @@ def _dispatch(args):
     if v == "gcolumn":
         mu = parse_partition(args.mu)
         b = block_of(mu, e)
-        ctx = BlockContext(b)
         if args.method == "llt":
-            col = llt_G(mu, e, ctx)
+            _, col = llt_column(mu, e, ColumnStore())
         elif args.method == "rouquier":
-            col = rouquier_column(mu, b, ctx)
+            _, col = rouquier_column(mu, b)
         elif args.method == "inductive":
-            col = InductiveEngine(e).column(mu)
+            _, col = InductiveEngine(e).packed_column(mu)
         else:
             _closed_domain(mu, e)
-            closed = d_closed_for(mu, e)
-            col = FockVector({lam: closed(lam) for lam in ctx.members()})
+            col = closed_sweep(mu, e, -(mu.size + 2))
+        col = unpack(col)
         payload = {
             "block": b.to_json(),
             "columns": [

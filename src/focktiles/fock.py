@@ -3,8 +3,13 @@
 The operators act on the packed beta-sets of `abacus` (`mask_of`): bit p of
 a mask is the bead at position lo + p of the charge-0 abacus of a partition,
 and every position below lo is occupied.  A step adds or removes at most one
-row, so an offset lo <= -(rows + 2) leaves room for it.  Packed terms are
-dicts {mask: {exponent: int}}.
+row, so an offset lo <= -(rows + 2) leaves room for it.
+
+A column is (lo, col), an offset and its packed terms {mask: {exponent:
+int}}: the one format the routes hand to each other, to the suites and to
+the command line.  Two columns moved to one offset (`move`) are equal when
+their dicts are.  A `FockVector` is made only for a reader that wants one
+(`unpack`).
 
 The coefficient dicts {exponent: int} of packed terms are values: once
 made they are never changed in place, so kernels share them.  A term that
@@ -30,17 +35,10 @@ class FockVector:
 
     def __init__(self, terms=None):
         d = {}
-        if terms:
-            for lam, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = LaurentPoly.of(c)
-                if c:
-                    prev = d.get(lam)
-                    if prev is not None:
-                        c = prev + c
-                    if c:
-                        d[lam] = c
-                    else:
-                        del d[lam]
+        for lam, c in (terms or {}).items():
+            c = LaurentPoly.of(c)
+            if c:
+                d[lam] = c
         object.__setattr__(self, "terms", d)
 
     def __setattr__(self, name, value):
@@ -59,11 +57,7 @@ class FockVector:
     def __add__(self, other):
         d = dict(self.terms)
         for lam, c in other.terms.items():
-            s = d.get(lam, LaurentPoly.zero()) + c
-            if s:
-                d[lam] = s
-            elif lam in d:
-                del d[lam]
+            d[lam] = d.get(lam, LaurentPoly.zero()) + c
         return FockVector(d)
 
     def __sub__(self, other):
@@ -71,22 +65,13 @@ class FockVector:
 
     def scale(self, c):
         c = LaurentPoly.of(c)
-        if not c:
-            return FockVector()
         return FockVector({lam: coef * c for lam, coef in self.terms.items()})
 
     def coeff(self, lam):
-        c = self.terms.get(lam)
-        return LaurentPoly.zero() if c is None else c
+        return self.terms.get(lam, LaurentPoly.zero())
 
     def support(self):
         return sorted(self.terms, reverse=True)
-
-    def to_json(self):
-        return [
-            {"partition": list(lam.parts), "coeff": c.to_pairs()}
-            for lam, c in sorted(self.terms.items(), reverse=True)
-        ]
 
     def __repr__(self):
         if not self.terms:
@@ -95,11 +80,6 @@ class FockVector:
         for lam in self.support():
             bits.append("(%s)*%s" % (self.terms[lam], lam))
         return " + ".join(bits)
-
-
-def pairing(v, lam):
-    """Coefficient extraction <v, lam> for the orthonormal partition basis."""
-    return v.coeff(lam)
 
 
 def _accumulate(out, m, coef, n):
@@ -218,6 +198,18 @@ def pack(v, lo):
 def unpack(vec):
     """The Fock vector of packed terms (over any offset)."""
     return FockVector({partition_of_mask(m): LaurentPoly(c) for m, c in vec.items()})
+
+
+def move(vec, lo, new):
+    """Packed terms over offset lo moved to offset new; the positions below
+    new that a term drops must be filled."""
+    d = new - lo
+    if d <= 0:
+        return {(m << -d) | ((1 << -d) - 1): c for m, c in vec.items()}
+    fill = (1 << d) - 1
+    if any(m & fill != fill for m in vec):
+        raise AssertionError("a packed term does not fit above the new offset")
+    return {m >> d: c for m, c in vec.items()}
 
 
 def _beads(lam, r, e, select):

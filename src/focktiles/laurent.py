@@ -14,13 +14,10 @@ class LaurentPoly:
 
     def __init__(self, coeffs=None):
         d = {}
-        if coeffs:
-            for exp, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                c = int(c)
-                if c:
-                    d[int(exp)] = d.get(int(exp), 0) + c
-                    if not d[int(exp)]:
-                        del d[int(exp)]
+        for exp, c in (coeffs or {}).items():
+            c = int(c)
+            if c:
+                d[int(exp)] = c
         object.__setattr__(self, "coeffs", d)
 
     def __setattr__(self, name, value):
@@ -60,8 +57,6 @@ class LaurentPoly:
         d = dict(self.coeffs)
         for e, c in other.coeffs.items():
             d[e] = d.get(e, 0) + c
-            if not d[e]:
-                del d[e]
         return _wrap(d)
 
     __radd__ = __add__
@@ -77,8 +72,6 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = LaurentPoly.of(other)
-        if not self.coeffs or not other.coeffs:
-            return _ZERO
         d = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():

@@ -8,7 +8,7 @@ from functools import reduce
 from itertools import combinations
 from operator import and_, or_, sub
 
-from .abacus import facts
+from .abacus import block_of, facts, mask_of
 from .labels import (
     BlockContext,
     _hat,
@@ -172,6 +172,19 @@ def d_closed_for(mu, e):
         return got
 
     return d
+
+
+def closed_sweep(mu, e, lo, ctx=None):
+    """mu's column by the closed formula, packed over lo: `d_closed_for`
+    evaluated on every member of mu's block (ctx, when given, is the
+    block's context), and each nonzero value kept at the member's mask."""
+    closed = d_closed_for(mu, e)
+    out = {}
+    for lam in BlockContext.of(block_of(mu, e), ctx).members():
+        c = closed(lam)
+        if c:
+            out[mask_of(lam, lo)] = c.coeffs
+    return out
 
 
 class Tiling(namedtuple("Tiling", "block cells")):

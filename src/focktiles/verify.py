@@ -24,20 +24,23 @@ from .abacus import (
     is_core,
     is_rouquier,
     partition_of,
+    partition_of_mask,
     weight_of,
     weyl_s,
     quotient_of,
 )
 from .beadops import lambda_of_hook, move_along, move_one, mullineux_crystal, mullineux_fast
 from .canonical import (
+    ColumnStore,
     InductiveEngine,
     ladder_sequence,
+    llt_column,
     llt_G,
     lr_coefficient,
     rouquier_column,
     rouquier_d,
 )
-from .fock import FockVector, apply_E, apply_F, pairing
+from .fock import FockVector, apply_E, apply_F, move, step_E, step_F
 from .labels import (
     BlockContext,
     hat_z,
@@ -64,8 +67,8 @@ from .polytope import (
     check_common_faces,
     check_cube_injectivity,
     check_discrete_union,
+    closed_sweep,
     d_closed,
-    d_closed_for,
     parallelotope_of,
     pi_membership,
 )
@@ -169,7 +172,7 @@ def ac1():
     conds.append(("F0(empty)", apply_F(FockVector.basis(EMPTY), 0, 1, 2) == FockVector.basis(P("1"))))
     v = apply_F(FockVector.basis(P("1")), 1, 1, 2)
     conds.append(("F1((1))", v == FockVector({P("2"): 1, P("1,1"): q(1)})))
-    conds.append(("<F1(1),(1,1)>=q", pairing(v, P("1,1")) == q(1)))
+    conds.append(("<F1(1),(1,1)>=q", v.coeff(P("1,1")) == q(1)))
     conds.append(
         ("E1((2))", apply_E(FockVector.basis(P("2")), 1, 1, 2) == FockVector({P("1"): q(-1)}))
     )
@@ -229,6 +232,11 @@ def ac1():
     return _check(conds)
 
 
+def _differ(a, b):
+    """The partition at the largest mask where packed columns a and b (one offset) differ."""
+    return partition_of_mask(max(m for m in a.keys() | b.keys() if a.get(m) != b.get(m)))
+
+
 def _four_increasing_mus(ctx, regular_only):
     e = ctx.block.e
     out = []
@@ -246,12 +254,12 @@ def ac2():
     """LLT columns equal closed-formula columns on the AC-2 block set."""
     total = 0
     for b in ac2_blocks():
-        ctx = BlockContext(b)
+        ctx, store = BlockContext(b), ColumnStore()
         for mu in _four_increasing_mus(ctx, regular_only=True):
-            G, closed = llt_G(mu, b.e, ctx), d_closed_for(mu, b.e)
-            for lam in ctx.members():
-                if G.coeff(lam) != closed(lam):
-                    return False, "mismatch at %s, %s in %r" % (lam, mu, b)
+            lo, G = llt_column(mu, b.e, store)
+            closed = closed_sweep(mu, b.e, lo, ctx)
+            if G != closed:
+                return False, "mismatch at %s, %s in %r" % (_differ(G, closed), mu, b)
             total += 1
     return True, "%d columns compared" % total
 
@@ -264,8 +272,6 @@ def ac3():
         ctx = BlockContext(b)
         eng = engines.setdefault(b.e, InductiveEngine(b.e))
         mus = _four_increasing_mus(ctx, regular_only=False)
-        if not mus:
-            continue
         # every runner pair for which b sits on the removable-bead side
         tops = core_tops(b.core, b.e)
         pairs = []
@@ -274,14 +280,14 @@ def ac3():
             if k_rem >= 1:
                 pairs.append((a, k_rem))
         for mu in mus:
-            col, closed = eng.column(mu), d_closed_for(mu, b.e)
-            for lam in ctx.members():
-                if col.coeff(lam) != closed(lam):
-                    return False, "mismatch at %s, %s in %r" % (lam, mu, b)
+            lo, col = eng.packed_column(mu)
+            closed = closed_sweep(mu, b.e, lo, ctx)
+            if col != closed:
+                return False, "mismatch at %s, %s in %r" % (_differ(col, closed), mu, b)
             for a, k in pairs:
-                if apply_E(col, a, k + 2, b.e):
+                if step_E(col, a, k + 2, b.e, lo):
                     return False, "E^(k+2) G(mu) != 0 for %s in %r" % (mu, b)
-                if apply_F(col, a, 2, b.e):
+                if step_F(col, a, 2, b.e, lo):
                     return False, "F^(2) G(mu) != 0 for %s in %r" % (mu, b)
             per_weight[b.weight] = per_weight.get(b.weight, 0) + 1
     longest = max(
@@ -301,29 +307,29 @@ def rouquier_block(e, w):
 def ac4():
     """Rouquier formulas: LM vs hook reduction vs closed vs LLT.
 
-    The LR-product formula is checked against the closed formula for every
-    0-increasing mu and all lambda, and llt_G against both for each of
-    those mu that is e-regular, on all 35 blocks (e <= 8, w <= 4).
+    The LR-product column is checked against the closed column for every
+    0-increasing mu, and against the LLT column for each of those mu that
+    is e-regular, on all 35 blocks (e <= 8, w <= 4).
     """
     pairs = [(e, w) for w in (0, 1, 2, 3, 4) for e in range(2, 9)]
     llt_pairs = set()
     per_weight = {}
     for e, w in pairs:
         b = rouquier_block(e, w)
-        ctx = BlockContext(b)
+        ctx, store = BlockContext(b), ColumnStore()
         zmap = ctx.z_map()
         mus = [m for m in ctx.members() if is_m_increasing(zmap[m], 0)]
         for mu in mus:
-            G = llt_G(mu, e, ctx) if is_e_regular(mu, e) else None
             # each entry of the column is checked against the hook reduction
-            col, closed = rouquier_column(mu, b, ctx), d_closed_for(mu, e)
-            for lam in ctx.members():
-                v = col.coeff(lam)
-                if v != closed(lam):
-                    return False, "rouquier vs closed at %s, %s in %r" % (lam, mu, b)
-                if G is not None and v != G.coeff(lam):
-                    return False, "rouquier vs llt at %s, %s in %r" % (lam, mu, b)
-            if G is not None:
+            lo, col = rouquier_column(mu, b, ctx)
+            closed = closed_sweep(mu, e, lo, ctx)
+            if col != closed:
+                return False, "rouquier vs closed at %s, %s in %r" % (_differ(col, closed), mu, b)
+            if is_e_regular(mu, e):
+                glo, G = llt_column(mu, e, store)
+                G = move(G, glo, lo)
+                if col != G:
+                    return False, "rouquier vs llt at %s, %s in %r" % (_differ(col, G), mu, b)
                 llt_pairs.add((e, w))
             per_weight[w] = per_weight.get(w, 0) + 1
     counts = ", ".join("w=%d: %d" % wc for wc in sorted(per_weight.items()))

@@ -11,6 +11,7 @@ from focktiles import cli
 from focktiles.abacus import block_of
 from focktiles.canonical import rouquier_column
 from focktiles.cli import run
+from focktiles.fock import unpack
 from focktiles.labels import BlockContext, is_m_increasing, z_label
 from focktiles.partitions import format_partition, parse_partition
 from focktiles.verify import rouquier_block
@@ -64,7 +65,7 @@ def test_batch_stdin():
     half = len(lines) // 2
     lines[half:half] = ["1;" + format_partition(pairs[half][1]), "bad;line"]
     code, out, _ = _capture(["dnum", "--e", "4", "--method", "rouquier"], stdin="\n".join(lines) + "\n")
-    want = [str(rouquier_column(mu, b).coeff(lam)) for lam, mu in pairs]
+    want = [str(unpack(rouquier_column(mu, b)[1]).coeff(lam)) for lam, mu in pairs]
     want[half:half] = ["error", "error"]
     assert code == 1
     assert out.splitlines() == want

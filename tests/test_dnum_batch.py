@@ -14,9 +14,9 @@ from collections import Counter
 
 import pytest
 
-from focktiles import cli
+from focktiles import canonical, cli
 from focktiles.abacus import block_of
-from focktiles.canonical import InductiveEngine
+from focktiles.canonical import InductiveEngine, rouquier_d
 from focktiles.labels import BlockContext, is_m_increasing, z_label
 from focktiles.partitions import format_partition, is_e_regular, parse_partition
 from focktiles.verify import rouquier_block
@@ -62,6 +62,43 @@ def test_inductive_batch_matches_single_queries_and_unpacks_each_mu_once(monkeyp
     batch = _run(argv, "".join("%s;%s\n" % pair for pair in pairs))
     assert len(pairs) == 40 and batch == single
     assert len(built) == 1 and built[0].unpacked == Counter(mus)
+
+
+def test_a_rouquier_batch_builds_each_column_once(monkeypatch):
+    # mu changes on every line; each mu is resolved once into lam -> d(q),
+    # so rouquier_column runs once per distinct mu, not once per line
+    e = 4
+    b = rouquier_block(e, 2)
+    members = BlockContext(b).members()
+    pairs = [(lam, mu) for lam in members[::2] for mu in members]
+    argv = ["dnum", "--e", str(e), "--method", "rouquier"]
+    want = [str(rouquier_d(lam, mu, b)) for lam, mu in pairs]
+    calls = Counter()
+    real = canonical.rouquier_column
+    monkeypatch.setattr(canonical, "rouquier_column", lambda mu, *a: calls.update([mu]) or real(mu, *a))
+    got = _run(argv, "".join("%s;%s\n" % (format_partition(lam), format_partition(mu)) for lam, mu in pairs))
+    assert got == want and len(pairs) > 2 * len(members)
+    assert calls == Counter(members)
+
+
+class _Untouched:
+    """A stdin that fails the test when anything reads it."""
+
+    def __getattr__(self, name):
+        raise AssertionError("stdin was touched (%s)" % name)
+
+
+@pytest.mark.parametrize("argv", [["dnum", "--e", "2", "3"], ["dnum", "3", "--e", "2"],
+                                  ["dnum", "--e", "2", "--method", "llt", "2,1"]])
+def test_a_half_given_pair_is_a_usage_error(argv):
+    # lambda without mu (in either order of the option and the partition)
+    # is refused before stdin is read, not taken for a stdin batch
+    code, out, err = _batch(argv, _Untouched())
+    assert code == 2 and out.getvalue() == ""
+    assert "dnum takes both lambda and mu" in err.getvalue()
+    # as a command: a line on stdin is not answered
+    done = _cli(argv, b"2,1;3\n", capture_output=True)
+    assert (done.returncode, done.stdout) == (2, b"") and b"dnum takes both" in done.stderr
 
 
 class _CountedWrites(io.StringIO):
