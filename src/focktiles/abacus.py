@@ -200,7 +200,8 @@ def _from_tops(tops, quot, lo=None):
     e = len(tops)
     charges = [x // e + 1 for x in tops]
     k0 = min(map(sub, charges, map(len, quot)))
-    s = _interleave([bin(mask_of(nu, k0 - c))[:1:-1] if nu else "1" * (c - k0) for c, nu in zip(charges, quot)])
+    s = _interleave([bin(mask_of(nu, k0 - c))[:1:-1] if nu else "1" * (c - k0)
+                     for c, nu in zip(charges, quot)])
     if lo is None:
         return _partition_of_bits(s)
     m, d = int("0" + s[::-1], 2), k0 * e - lo

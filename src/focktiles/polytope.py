@@ -175,9 +175,8 @@ def d_closed_for(mu, e):
 
 
 def closed_sweep(mu, e, lo, ctx=None):
-    """mu's column by the closed formula, packed over lo: `d_closed_for`
-    evaluated on every member of mu's block (ctx, when given, is the
-    block's context), and each nonzero value kept at the member's mask."""
+    """mu's column by the closed formula packed over lo: `d_closed_for` on
+    every member of mu's block (ctx, when given, the block's context)."""
     closed = d_closed_for(mu, e)
     out = {}
     for lam in BlockContext.of(block_of(mu, e), ctx).members():
